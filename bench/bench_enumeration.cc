@@ -1,55 +1,16 @@
 // Copyright (c) Maimon-cpp authors. Licensed under the MIT license.
 //
-// Micro-benchmark (google-benchmark): the two enumeration substrates —
-// minimal transversals (MMCS, Cor. 6.3's T_minTrans factor) and maximal
-// independent sets (Theorem 7.3's O(|V|^3) delay). Reported per emitted
-// set, so the numbers read as enumeration delay.
+// Micro-benchmark (google-benchmark): the scheme miner's enumeration
+// substrate, maximal independent sets (Theorem 7.3's O(|V|^3) delay).
+// Reported per emitted set, so the numbers read as enumeration delay.
 
 #include <benchmark/benchmark.h>
 
 #include "graph/mis.h"
-#include "hypergraph/transversals.h"
 #include "util/rng.h"
 
 namespace maimon {
 namespace {
-
-std::vector<AttrSet> RandomHypergraph(int n, int m, int edge_size,
-                                      uint64_t seed) {
-  Rng rng(seed);
-  std::vector<AttrSet> edges;
-  for (int i = 0; i < m; ++i) {
-    AttrSet e;
-    while (e.Count() < edge_size) {
-      e.Add(static_cast<int>(rng.Uniform(n)));
-    }
-    edges.push_back(e);
-  }
-  return edges;
-}
-
-void BM_MinimalTransversals(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  const int m = static_cast<int>(state.range(1));
-  auto edges = RandomHypergraph(n, m, 4, 11);
-  size_t emitted = 0;
-  for (auto _ : state) {
-    size_t count = 0;
-    EnumerateMinimalTransversals(edges, AttrSet::Universe(n),
-                                 [&](AttrSet) {
-                                   ++count;
-                                   return true;
-                                 });
-    emitted += count;
-    benchmark::DoNotOptimize(count);
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(emitted));
-}
-BENCHMARK(BM_MinimalTransversals)
-    ->Args({16, 8})
-    ->Args({24, 12})
-    ->Args({32, 16})
-    ->Args({48, 20});
 
 Graph RandomGraph(int n, double density, uint64_t seed) {
   Rng rng(seed);

@@ -6,7 +6,8 @@
 //   csv_import — parse the relation CSV and rebuild the projections
 //                (the path the store file replaces);
 //   mmap_load  — store::LoadProjectionStore on a file written by
-//                store::Writer (header check + lazy CRC + transpose);
+//                store::Writer (header check + lazy CRC + one
+//                domain-checked copy per column array);
 //   write      — store::Writer::Write itself (pack cost, paid once).
 //
 // Fixtures: a planted 9-attribute chain at two scales and the Nursery

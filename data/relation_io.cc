@@ -93,6 +93,13 @@ Status ImportCsv(const std::string& path, Relation* out,
   }
   const std::vector<std::string> names = SplitCsvLine(line);
   const size_t n = names.size();
+  // AttrSet, and with it every miner, addresses at most kMaxAttrs columns;
+  // a wider relation would silently lose every column past the limit.
+  if (n > static_cast<size_t>(AttrSet::kMaxAttrs)) {
+    return Status::InvalidArgument(
+        "CSV has " + std::to_string(n) + " columns, more than the " +
+        std::to_string(AttrSet::kMaxAttrs) + " supported: " + path);
+  }
   if (header != nullptr) *header = names;
 
   std::vector<std::vector<uint32_t>> columns(n);
@@ -107,6 +114,12 @@ Status ImportCsv(const std::string& path, Relation* out,
       if (!ParseCode(cells[c], &code)) {
         return Status::InvalidArgument("non-integer CSV cell \"" + cells[c] +
                                        "\" in " + path);
+      }
+      // The domain is max code + 1, which must itself fit in a u32.
+      if (code == UINT32_MAX) {
+        return Status::InvalidArgument("CSV cell " + cells[c] +
+                                       " leaves no room for a domain size in " +
+                                       path);
       }
       columns[c].push_back(code);
     }

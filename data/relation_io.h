@@ -33,7 +33,8 @@ Status ExportCsv(const Relation& relation, const std::string& path,
 /// Reads a CSV written by ExportCsv (or any integer CSV with a header row)
 /// into `out`; `header` (nullable) receives the column names. Codes are
 /// preserved exactly as written. Fails with kInvalidArgument on a missing
-/// file, a non-integer cell, or a ragged row.
+/// file, a non-integer cell, a ragged row, more than AttrSet::kMaxAttrs
+/// columns, or a code of 4294967295 (its domain size would not fit a u32).
 Status ImportCsv(const std::string& path, Relation* out,
                  std::vector<std::string>* header = nullptr);
 

@@ -72,15 +72,39 @@ DecompositionAudit DecomposeAndAudit(const Relation& relation,
 
   // Original-instance counts over the schema universe (the DP's baseline:
   // set semantics on the covered attributes), fused with the membership
-  // probe: each distinct row is checked against the reduced store — the
-  // definitional natural join test, independent of the enumeration. The
-  // sweep polls the same deadline as the join phases (every 1024 rows).
+  // probe: each distinct row t is checked against the reduced store with
+  // the definition of the natural join — t is in it iff every projection
+  // of t is present — independent of the enumeration. The sweep polls the
+  // same deadline as the join phases (every 1024 rows).
   obs::Span probe_span(options.sink, "audit.probe");
+  const std::vector<StoredProjection> reduced = executor.ReducedProjections();
+  std::vector<std::unordered_set<std::string>> members(reduced.size());
+  std::vector<uint32_t> tuple;
+  for (size_t v = 0; v < reduced.size(); ++v) {
+    const StoredProjection& p = reduced[v];
+    tuple.resize(p.columns.size());
+    members[v].reserve(p.NumRows());
+    for (size_t r = 0; r < p.NumRows(); ++r) {
+      for (size_t c = 0; c < tuple.size(); ++c) tuple[c] = p.codes[c][r];
+      members[v].insert(PackFullTupleKey(tuple));
+    }
+  }
+  const auto in_join = [&](size_t r) {
+    for (size_t v = 0; v < reduced.size(); ++v) {
+      tuple.resize(reduced[v].columns.size());
+      for (size_t c = 0; c < tuple.size(); ++c) {
+        tuple[c] = relation.Value(r, reduced[v].columns[c]);
+      }
+      if (members[v].count(PackFullTupleKey(tuple)) == 0) return false;
+    }
+    return true;
+  };
+
   const AttrSet universe = schema.UniverseAttrs();
   const std::vector<int> universe_cols = universe.ToVector();
   std::unordered_set<std::string> distinct;
   distinct.reserve(relation.NumRows());
-  std::vector<uint32_t> tuple(universe_cols.size());
+  std::vector<uint32_t> row(universe_cols.size());
   bool contains = true;
   for (size_t r = 0; r < relation.NumRows(); ++r) {
     if ((r & 1023) == 0 && deadline.Expired()) {
@@ -88,10 +112,10 @@ DecompositionAudit DecomposeAndAudit(const Relation& relation,
       return audit;
     }
     for (size_t i = 0; i < universe_cols.size(); ++i) {
-      tuple[i] = relation.Value(r, universe_cols[i]);
+      row[i] = relation.Value(r, universe_cols[i]);
     }
-    if (!distinct.insert(PackFullTupleKey(tuple)).second) continue;
-    contains = contains && executor.ContainsRow(relation, r);
+    if (!distinct.insert(PackFullTupleKey(row)).second) continue;
+    contains = contains && in_join(r);
   }
   audit.original_distinct = distinct.size();
 

@@ -10,15 +10,6 @@
 
 namespace maimon {
 
-Relation StoredProjection::ToRelation() const {
-  std::vector<std::vector<uint32_t>> cols(columns.size());
-  for (size_t c = 0; c < columns.size(); ++c) {
-    cols[c].reserve(rows.size());
-    for (const auto& row : rows) cols[c].push_back(row[c]);
-  }
-  return Relation(std::move(cols), domains);
-}
-
 ProjectionStore::ProjectionStore(const Relation& relation,
                                  const Schema& schema) {
   original_cells_ = relation.CellCount();
@@ -27,25 +18,21 @@ ProjectionStore::ProjectionStore(const Relation& relation,
     StoredProjection p;
     p.attrs = attrs;
     p.columns = attrs.ToVector();
+    p.codes.resize(p.columns.size());
+    for (int c : p.columns) p.domains.push_back(relation.DomainSize(c));
 
-    // Bag projection, then hash-based distinct in row order: the projected
-    // columns are renumbered 0..k-1 but keep the original codes, so the
-    // distinct rows here are exactly the distinct projected rows of the
-    // source relation.
-    const Relation bag = relation.ProjectWithDuplicates(attrs);
-    p.domains.reserve(p.columns.size());
-    for (int c = 0; c < bag.NumCols(); ++c) p.domains.push_back(bag.DomainSize(c));
-
+    // Hash-based distinct in row order over the projected columns: codes
+    // are copied verbatim, so the distinct rows here are exactly the
+    // distinct projected rows of the source relation.
     std::unordered_set<std::string> seen;
-    seen.reserve(bag.NumRows());
+    seen.reserve(relation.NumRows());
     std::vector<uint32_t> tuple(p.columns.size());
-    for (size_t r = 0; r < bag.NumRows(); ++r) {
-      for (int c = 0; c < bag.NumCols(); ++c) {
-        tuple[static_cast<size_t>(c)] = bag.Value(r, c);
+    for (size_t r = 0; r < relation.NumRows(); ++r) {
+      for (size_t c = 0; c < tuple.size(); ++c) {
+        tuple[c] = relation.Value(r, p.columns[c]);
       }
-      if (seen.insert(PackFullTupleKey(tuple)).second) {
-        p.rows.push_back(tuple);
-      }
+      if (!seen.insert(PackFullTupleKey(tuple)).second) continue;
+      for (size_t c = 0; c < tuple.size(); ++c) p.codes[c].push_back(tuple[c]);
     }
     projections_.push_back(std::move(p));
   }

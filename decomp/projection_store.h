@@ -2,11 +2,18 @@
 //
 // ProjectionStore: the materialized side of a decomposition. For each
 // relation schema of a (mined) Schema it holds the deduplicated projection
-// of the dictionary-encoded Relation — hash-based distinct on top of
-// Relation::ProjectWithDuplicates — plus per-projection row/cell/byte
+// of the dictionary-encoded Relation, plus per-projection row/cell/byte
 // accounting. The accounting is the storage-savings S numerator, computed
 // from actually-materialized rows, so SavingsPct() must agree exactly with
 // the counting-based SchemaReport::savings_pct (decomp_test pins this).
+//
+// Every projection is stored column-major — one u32 code array per
+// column, the layout of Relation and of a store/ file's column sections —
+// and that one layout runs unchanged from store::Writer through
+// store::MappedStore, the Yannakakis executor and serve/. The writer and
+// the loader move whole column arrays; the executor reads them in place
+// through lists of live row ids. No layer transposes, and no query copies
+// a stored row.
 
 #ifndef MAIMON_DECOMP_PROJECTION_STORE_H_
 #define MAIMON_DECOMP_PROJECTION_STORE_H_
@@ -26,20 +33,18 @@ namespace maimon {
 /// `attrs`, in first-occurrence order (deterministic for a fixed relation).
 struct StoredProjection {
   AttrSet attrs;
-  std::vector<int> columns;                   // ascending original indices
-  std::vector<std::vector<uint32_t>> rows;    // distinct projected tuples
-  /// Domain sizes of `columns` in the source relation (for ToRelation).
+  std::vector<int> columns;  // ascending original indices
+  /// Column-major codes: codes[c][r] is row r's value in columns[c]. Every
+  /// array has NumRows() entries.
+  std::vector<std::vector<uint32_t>> codes;
+  /// Domain sizes of `columns` in the source relation (codes[c] < domains[c]).
   std::vector<uint32_t> domains;
 
-  size_t NumRows() const { return rows.size(); }
-  size_t Cells() const { return rows.size() * columns.size(); }
+  size_t NumRows() const { return codes.empty() ? 0 : codes[0].size(); }
+  size_t Cells() const { return NumRows() * columns.size(); }
   /// Materialized payload bytes (codes only, excluding vector overhead) —
   /// the honest storage-cost unit of the dictionary-encoded store.
   size_t Bytes() const { return Cells() * sizeof(uint32_t); }
-
-  /// The projection as a standalone Relation (codes preserved verbatim),
-  /// e.g. for CSV export via data/relation_io.h.
-  Relation ToRelation() const;
 };
 
 class ProjectionStore {
@@ -47,14 +52,14 @@ class ProjectionStore {
   /// Materializes one distinct projection per relation of `schema`.
   ProjectionStore(const Relation& relation, const Schema& schema);
 
-  /// Adopts pre-built projections (e.g. imported via data/relation_io.h or
-  /// mapped from a store/ file). Unlike the relation constructor, these
-  /// need not be globally consistent — the Yannakakis reducer then
-  /// actually drops dangling tuples. `original_cells` anchors SavingsPct
-  /// (0 disables it). Pass `canonical` = true only for projections that
-  /// are ALREADY fully Yannakakis-reduced (e.g. re-adopted from
-  /// YannakakisExecutor::ReducedProjections, or loaded from a store file
-  /// written as canonical): serve/ then skips the snapshot re-reduction.
+  /// Adopts pre-built projections (e.g. loaded from a store/ file). Unlike
+  /// the relation constructor, these need not be globally consistent — the
+  /// Yannakakis reducer then actually drops dangling tuples.
+  /// `original_cells` anchors SavingsPct (0 disables it). Pass `canonical`
+  /// = true only for projections that are ALREADY fully Yannakakis-reduced
+  /// (e.g. re-adopted from YannakakisExecutor::ReducedProjections, or
+  /// loaded from a store file written as canonical): serve/ then skips the
+  /// snapshot re-reduction.
   ProjectionStore(std::vector<StoredProjection> projections,
                   size_t original_cells, bool canonical = false)
       : projections_(std::move(projections)),

@@ -4,6 +4,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
+#include <memory>
+#include <numeric>
+#include <unordered_set>
 #include <utility>
 
 #include "util/thread_pool.h"
@@ -21,51 +25,70 @@ std::vector<int> SharedPositions(const std::vector<int>& columns,
   return out;
 }
 
+// Byte-packed key of row `r` of `p` over the column `positions`: the same
+// bytes PackTupleKey packs from the row as a row-major tuple.
+std::string RowKey(const StoredProjection& p, const std::vector<int>& positions,
+                   uint32_t r) {
+  std::string key(positions.size() * sizeof(uint32_t), '\0');
+  for (size_t i = 0; i < positions.size(); ++i) {
+    std::memcpy(&key[i * sizeof(uint32_t)],
+                &p.codes[static_cast<size_t>(positions[i])][r],
+                sizeof(uint32_t));
+  }
+  return key;
+}
+
+std::vector<ProjectionRows> EveryRow(const ProjectionStore& store) {
+  std::vector<ProjectionRows> inputs(store.NumProjections());
+  for (size_t v = 0; v < inputs.size(); ++v) {
+    const StoredProjection& p = store.projections()[v];
+    inputs[v].projection = &p;
+    inputs[v].rows.resize(p.NumRows());
+    std::iota(inputs[v].rows.begin(), inputs[v].rows.end(), uint32_t{0});
+  }
+  return inputs;
+}
+
 }  // namespace
 
-YannakakisExecutor::YannakakisExecutor(const ProjectionStore& store) {
-  const std::vector<StoredProjection>& projections = store.projections();
-  std::vector<AttrSet> rels;
-  rels.reserve(projections.size());
-  for (const StoredProjection& p : projections) rels.push_back(p.attrs);
-  tree_ = BuildMaxOverlapJoinTree(rels);
+YannakakisExecutor::YannakakisExecutor(const ProjectionStore& store)
+    : YannakakisExecutor(EveryRow(store)) {}
 
+YannakakisExecutor::YannakakisExecutor(std::vector<ProjectionRows> inputs) {
+  std::vector<AttrSet> rels;
+  rels.reserve(inputs.size());
   AttrSet universe;
-  nodes_.resize(projections.size());
-  for (size_t v = 0; v < projections.size(); ++v) {
-    nodes_[v].attrs = projections[v].attrs;
-    nodes_[v].columns = projections[v].columns;
-    nodes_[v].domains = projections[v].domains;
-    nodes_[v].tuples = projections[v].rows;
-    universe = universe.Union(projections[v].attrs);
-    const int parent = tree_.parent[v];
-    if (parent >= 0) {
-      nodes_[v].sep_positions = SharedPositions(
-          nodes_[v].columns,
-          projections[v].attrs.Intersect(
-              projections[static_cast<size_t>(parent)].attrs));
-    }
-    RebuildKeys(&nodes_[v]);
+  for (const ProjectionRows& in : inputs) {
+    rels.push_back(in.projection->attrs);
+    universe = universe.Union(in.projection->attrs);
   }
+  tree_ = BuildMaxOverlapJoinTree(rels);
 
   out_columns_ = universe.ToVector();
   std::vector<size_t> slot_of(static_cast<size_t>(AttrSet::kMaxAttrs), 0);
   for (size_t i = 0; i < out_columns_.size(); ++i) {
     slot_of[static_cast<size_t>(out_columns_[i])] = i;
   }
-  out_positions_.resize(nodes_.size());
-  for (size_t v = 0; v < nodes_.size(); ++v) {
-    for (int c : nodes_[v].columns) {
+  nodes_.resize(inputs.size());
+  out_positions_.resize(inputs.size());
+  for (size_t v = 0; v < inputs.size(); ++v) {
+    Node& node = nodes_[v];
+    node.projection = inputs[v].projection;
+    node.live = std::move(inputs[v].rows);
+    for (int c : node.projection->columns) {
       out_positions_[v].push_back(slot_of[static_cast<size_t>(c)]);
     }
-  }
-}
-
-void YannakakisExecutor::RebuildKeys(Node* node) const {
-  node->keys.clear();
-  node->keys.reserve(node->tuples.size());
-  for (const auto& tuple : node->tuples) {
-    node->keys.insert(PackFullTupleKey(tuple));
+    const int parent = tree_.parent[v];
+    if (parent < 0) continue;
+    const StoredProjection& up =
+        *inputs[static_cast<size_t>(parent)].projection;
+    const AttrSet sep = rels[v].Intersect(up.attrs);
+    node.sep_positions = SharedPositions(node.projection->columns, sep);
+    node.parent_positions = SharedPositions(up.columns, sep);
+    for (int p : node.sep_positions) {
+      node.sep_slots.push_back(
+          static_cast<int>(out_positions_[v][static_cast<size_t>(p)]));
+    }
   }
 }
 
@@ -87,214 +110,112 @@ Status YannakakisExecutor::Reduce(const Deadline* deadline, int num_threads,
 
 Status YannakakisExecutor::ReduceImpl(const Deadline* deadline,
                                       int num_threads, obs::Sink* sink) {
-  // Semijoin node `v` with the separator keys of `other` (already packed):
-  // keep only tuples whose separator projection appears in `other`. Order-
-  // preserving, so the reduced tuple lists are scheduling-independent.
-  // `dropped` is the caller's counter slot (per-node under parallelism).
-  // The deadline is polled every 1024 tuples — a single huge node must not
-  // overrun a per-query budget by a whole level. Returns true on expiry;
-  // the unexamined tail is kept unfiltered, so the node stays a valid
-  // (merely under-reduced) projection.
-  const auto semijoin = [&](size_t v, const std::vector<int>& positions,
-                            const std::unordered_set<std::string>& other,
-                            uint64_t* dropped) -> bool {
-    Node& node = nodes_[v];
-    std::vector<std::vector<uint32_t>> kept;
-    kept.reserve(node.tuples.size());
-    uint64_t polls = 0;
-    for (size_t t = 0; t < node.tuples.size(); ++t) {
-      if ((++polls & 1023) == 0 && DeadlineExpired(deadline)) {
-        for (size_t u = t; u < node.tuples.size(); ++u) {
-          kept.push_back(std::move(node.tuples[u]));
-        }
-        node.tuples = std::move(kept);
-        return true;
-      }
-      auto& tuple = node.tuples[t];
-      if (other.count(PackTupleKey(tuple, positions)) > 0) {
-        kept.push_back(std::move(tuple));
-      } else {
-        ++*dropped;
-      }
-    }
-    node.tuples = std::move(kept);
-    return false;
-  };
-  // Builds the separator key set of `v` into `*keys`. Returns false on
-  // mid-build expiry — the partial set must never be semijoined against
-  // (it would drop tuples that do have partners).
-  const auto sep_keys = [&](size_t v, const std::vector<int>& positions,
-                            std::unordered_set<std::string>* keys) -> bool {
-    keys->reserve(nodes_[v].tuples.size());
-    uint64_t polls = 0;
-    for (const auto& tuple : nodes_[v].tuples) {
-      if ((++polls & 1023) == 0 && DeadlineExpired(deadline)) return false;
-      keys->insert(PackTupleKey(tuple, positions));
-    }
-    return true;
-  };
-
   // Depth levels (parent precedes child in preorder, so one sweep fills
   // them; a level keeps preorder order). Nodes of one level have disjoint
   // state and only read levels already final, which is what makes the
-  // level-parallel passes below byte-identical to the sequential ones.
-  std::vector<int> depth(nodes_.size(), 0);
-  size_t widest_level = nodes_.empty() ? 0 : 1;
-  int max_depth = 0;
-  {
-    std::vector<size_t> width(nodes_.size(), 0);
-    for (int pv : tree_.preorder) {
-      const size_t v = static_cast<size_t>(pv);
-      if (tree_.parent[v] >= 0) {
-        depth[v] = depth[static_cast<size_t>(tree_.parent[v])] + 1;
-      }
-      max_depth = std::max(max_depth, depth[v]);
-      widest_level =
-          std::max(widest_level, ++width[static_cast<size_t>(depth[v])]);
+  // result independent of how a level's nodes are scheduled.
+  std::vector<size_t> depth(nodes_.size(), 0);
+  std::vector<std::vector<size_t>> levels;
+  size_t widest_level = 0;
+  for (int pv : tree_.preorder) {
+    const size_t v = static_cast<size_t>(pv);
+    if (tree_.parent[v] >= 0) {
+      depth[v] = depth[static_cast<size_t>(tree_.parent[v])] + 1;
     }
+    if (depth[v] == levels.size()) levels.emplace_back();
+    levels[depth[v]].push_back(v);
+    widest_level = std::max(widest_level, levels[depth[v]].size());
   }
   const int threads = static_cast<int>(
       std::min<size_t>(static_cast<size_t>(ResolveNumThreads(num_threads)),
                        widest_level));
+  // At one thread ParallelFor runs each level inline, in preorder order.
+  std::unique_ptr<ThreadPool> pool;
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads, sink);
 
-  if (threads > 1) {
-    std::vector<std::vector<size_t>> levels(static_cast<size_t>(max_depth) + 1);
-    for (int pv : tree_.preorder) {
-      const size_t v = static_cast<size_t>(pv);
-      levels[static_cast<size_t>(depth[v])].push_back(v);
+  std::vector<uint64_t> dropped(nodes_.size(), 0);
+  std::vector<uint64_t> passes(nodes_.size(), 0);
+  // Semijoins node `target` with node `source` on their separator (at
+  // `target_pos` / `source_pos`): keeps the target's live rows whose key
+  // appears among the source's, in order, so the reduced lists are
+  // scheduling-independent. The deadline is polled every 1024 rows of
+  // either loop — a single huge node must not overrun a per-query budget
+  // by a whole level. Returns false on expiry: a partial key set is never
+  // semijoined against (it would drop rows that do have partners), and the
+  // target's unexamined tail is kept unfiltered, so the node stays a valid
+  // (merely under-reduced) projection.
+  const auto semijoin = [&](size_t target, const std::vector<int>& target_pos,
+                            size_t source, const std::vector<int>& source_pos) {
+    const Node& from = nodes_[source];
+    std::unordered_set<std::string> keys;
+    keys.reserve(from.live.size());
+    for (size_t i = 0; i < from.live.size(); ++i) {
+      if (((i + 1) & 1023) == 0 && DeadlineExpired(deadline)) return false;
+      keys.insert(RowKey(*from.projection, source_pos, from.live[i]));
     }
-    ThreadPool pool(threads, sink);
-    std::vector<uint64_t> dropped(nodes_.size(), 0);
-    std::vector<uint64_t> passes(nodes_.size(), 0);
-    std::atomic<bool> expired{false};
+    ++passes[target];
+    const StoredProjection& to = *nodes_[target].projection;
+    std::vector<uint32_t>& live = nodes_[target].live;
+    size_t kept = 0;
+    for (size_t i = 0; i < live.size(); ++i) {
+      if (((i + 1) & 1023) == 0 && DeadlineExpired(deadline)) {
+        live.erase(live.begin() + static_cast<std::ptrdiff_t>(kept),
+                   live.begin() + static_cast<std::ptrdiff_t>(i));
+        return false;
+      }
+      if (keys.count(RowKey(to, target_pos, live[i])) > 0) {
+        live[kept++] = live[i];
+      } else {
+        ++dropped[target];
+      }
+    }
+    live.resize(kept);
+    return true;
+  };
 
-    // Leaf-to-root, one level at a time (barrier between levels): the task
-    // for node v filters v against each of its children, whose deeper
-    // level is already final.
-    for (int d = max_depth; d >= 0 && !expired.load(); --d) {
-      const std::vector<size_t>& level = levels[static_cast<size_t>(d)];
-      const ParallelForResult run = ParallelFor(
-          &pool, static_cast<int>(std::min<size_t>(
-                     static_cast<size_t>(threads), level.size())),
-          level.size(), deadline, [&](int, size_t i) {
-            const size_t v = level[i];
-            for (int c : tree_.children[v]) {
-              if (DeadlineExpired(deadline)) {
-                expired.store(true, std::memory_order_relaxed);
-                return;
-              }
-              const size_t cv = static_cast<size_t>(c);
-              const AttrSet sep = nodes_[v].attrs.Intersect(nodes_[cv].attrs);
-              std::unordered_set<std::string> keys;
-              if (!sep_keys(cv, nodes_[cv].sep_positions, &keys)) {
-                expired.store(true, std::memory_order_relaxed);
-                return;
-              }
-              ++passes[v];
-              if (semijoin(v, SharedPositions(nodes_[v].columns, sep), keys,
-                           &dropped[v])) {
-                expired.store(true, std::memory_order_relaxed);
-                return;
-              }
+  std::atomic<bool> expired{false};
+  // Runs `edge(v, child)` for every node v of `level` and each of its
+  // children in order; a false return (deadline expiry) stops the sweep.
+  const auto run_level = [&](const std::vector<size_t>& level,
+                             const auto& edge) {
+    const ParallelForResult run = ParallelFor(
+        pool.get(),
+        static_cast<int>(std::min<size_t>(static_cast<size_t>(threads),
+                                          level.size())),
+        level.size(), deadline, [&](int, size_t i) {
+          const size_t v = level[i];
+          for (int c : tree_.children[v]) {
+            if (DeadlineExpired(deadline) ||
+                !edge(v, static_cast<size_t>(c))) {
+              expired.store(true, std::memory_order_relaxed);
+              return;
             }
-          });
-      if (!run.completed) expired.store(true, std::memory_order_relaxed);
-    }
-    if (expired.load()) {
-      for (uint64_t d : dropped) semijoin_dropped_ += d;
-      for (uint64_t p : passes) semijoin_passes_ += p;
-      return Status::DeadlineExceeded("semijoin reducer (leaf-to-root)");
-    }
+          }
+        });
+    if (!run.completed) expired.store(true, std::memory_order_relaxed);
+  };
 
-    // Root-to-leaf: the task for node v filters each of its children
-    // against v (v itself was filtered by its parent one level earlier).
-    for (int d = 0; d < max_depth && !expired.load(); ++d) {
-      const std::vector<size_t>& level = levels[static_cast<size_t>(d)];
-      const ParallelForResult run = ParallelFor(
-          &pool, static_cast<int>(std::min<size_t>(
-                     static_cast<size_t>(threads), level.size())),
-          level.size(), deadline, [&](int, size_t i) {
-            const size_t v = level[i];
-            for (int c : tree_.children[v]) {
-              if (DeadlineExpired(deadline)) {
-                expired.store(true, std::memory_order_relaxed);
-                return;
-              }
-              const size_t cv = static_cast<size_t>(c);
-              const AttrSet sep = nodes_[v].attrs.Intersect(nodes_[cv].attrs);
-              std::unordered_set<std::string> keys;
-              if (!sep_keys(v, SharedPositions(nodes_[v].columns, sep),
-                            &keys)) {
-                expired.store(true, std::memory_order_relaxed);
-                return;
-              }
-              ++passes[cv];
-              if (semijoin(cv, nodes_[cv].sep_positions, keys,
-                           &dropped[cv])) {
-                expired.store(true, std::memory_order_relaxed);
-                return;
-              }
-            }
-          });
-      if (!run.completed) expired.store(true, std::memory_order_relaxed);
-    }
-    for (uint64_t d : dropped) semijoin_dropped_ += d;
-    for (uint64_t p : passes) semijoin_passes_ += p;
-    if (expired.load()) {
-      return Status::DeadlineExceeded("semijoin reducer (root-to-leaf)");
-    }
-
-    // Key rebuild is per-node independent; no deadline here — a partial
-    // key set would corrupt ContainsRow, and the rebuild is linear.
-    ParallelFor(&pool, threads, nodes_.size(), /*deadline=*/nullptr,
-                [&](int, size_t v) { RebuildKeys(&nodes_[v]); });
-    reduced_ = true;
-    return Status::Ok();
-  }
-
-  // Leaf-to-root: reverse preorder visits every child before its parent,
-  // so each node is filtered against fully-reduced subtrees.
-  for (size_t i = tree_.preorder.size(); i-- > 0;) {
-    const size_t v = static_cast<size_t>(tree_.preorder[i]);
-    for (int c : tree_.children[v]) {
-      if (DeadlineExpired(deadline)) {
-        return Status::DeadlineExceeded("semijoin reducer (leaf-to-root)");
-      }
-      const size_t cv = static_cast<size_t>(c);
-      const AttrSet sep = nodes_[v].attrs.Intersect(nodes_[cv].attrs);
-      std::unordered_set<std::string> keys;
-      if (!sep_keys(cv, nodes_[cv].sep_positions, &keys)) {
-        return Status::DeadlineExceeded("semijoin reducer (leaf-to-root)");
-      }
-      ++semijoin_passes_;
-      if (semijoin(v, SharedPositions(nodes_[v].columns, sep), keys,
-                   &semijoin_dropped_)) {
-        return Status::DeadlineExceeded("semijoin reducer (leaf-to-root)");
-      }
-    }
+  // Leaf-to-root, deepest level first: each node is filtered against each
+  // of its children, whose deeper level is already final.
+  const char* phase = "semijoin reducer (leaf-to-root)";
+  for (size_t d = levels.size(); d-- > 0 && !expired.load();) {
+    run_level(levels[d], [&](size_t v, size_t c) {
+      return semijoin(v, nodes_[c].parent_positions, c,
+                      nodes_[c].sep_positions);
+    });
   }
   // Root-to-leaf: each child is filtered against its (now fully reduced)
-  // parent; afterwards no tuple anywhere is dangling.
-  for (int pv : tree_.preorder) {
-    const size_t v = static_cast<size_t>(pv);
-    for (int c : tree_.children[v]) {
-      if (DeadlineExpired(deadline)) {
-        return Status::DeadlineExceeded("semijoin reducer (root-to-leaf)");
-      }
-      const size_t cv = static_cast<size_t>(c);
-      const AttrSet sep = nodes_[v].attrs.Intersect(nodes_[cv].attrs);
-      std::unordered_set<std::string> keys;
-      if (!sep_keys(v, SharedPositions(nodes_[v].columns, sep), &keys)) {
-        return Status::DeadlineExceeded("semijoin reducer (root-to-leaf)");
-      }
-      ++semijoin_passes_;
-      if (semijoin(cv, nodes_[cv].sep_positions, keys,
-                   &semijoin_dropped_)) {
-        return Status::DeadlineExceeded("semijoin reducer (root-to-leaf)");
-      }
-    }
+  // parent; afterwards no row anywhere is dangling.
+  if (!expired.load()) phase = "semijoin reducer (root-to-leaf)";
+  for (size_t d = 0; d + 1 < levels.size() && !expired.load(); ++d) {
+    run_level(levels[d], [&](size_t v, size_t c) {
+      return semijoin(c, nodes_[c].sep_positions, v,
+                      nodes_[c].parent_positions);
+    });
   }
-  for (Node& node : nodes_) RebuildKeys(&node);
+  for (uint64_t d : dropped) semijoin_dropped_ += d;
+  for (uint64_t p : passes) semijoin_passes_ += p;
+  if (expired.load()) return Status::DeadlineExceeded(phase);
   reduced_ = true;
   return Status::Ok();
 }
@@ -312,10 +233,9 @@ JoinResult YannakakisExecutor::Execute(const YannakakisOptions& options) {
     if (tree_.parent[v] < 0) continue;
     Node& node = nodes_[v];
     node.index.clear();
-    node.index.reserve(node.tuples.size());
-    for (size_t t = 0; t < node.tuples.size(); ++t) {
-      node.index[PackTupleKey(node.tuples[t], node.sep_positions)]
-          .push_back(t);
+    node.index.reserve(node.live.size());
+    for (uint32_t r : node.live) {
+      node.index[RowKey(*node.projection, node.sep_positions, r)].push_back(r);
     }
   }
 
@@ -347,16 +267,17 @@ bool YannakakisExecutor::Extend(size_t depth, std::vector<uint32_t>* out,
 
   const size_t v = static_cast<size_t>(tree_.preorder[depth]);
   const Node& node = nodes_[v];
+  const std::vector<std::vector<uint32_t>>& codes = node.projection->codes;
   const std::vector<size_t>& slots = out_positions_[v];
 
-  const auto emit_tuple = [&](const std::vector<uint32_t>& tuple) {
-    for (size_t i = 0; i < tuple.size(); ++i) (*out)[slots[i]] = tuple[i];
+  const auto emit_row = [&](uint32_t r) {
+    for (size_t i = 0; i < slots.size(); ++i) (*out)[slots[i]] = codes[i][r];
     return Extend(depth + 1, out, result, options, poll_counter);
   };
 
   if (tree_.parent[v] < 0) {
-    for (const auto& tuple : node.tuples) {
-      if (!emit_tuple(tuple)) return false;
+    for (uint32_t r : node.live) {
+      if (!emit_row(r)) return false;
       if ((++*poll_counter & 1023) == 0 && DeadlineExpired(options.deadline)) {
         return false;
       }
@@ -365,15 +286,11 @@ bool YannakakisExecutor::Extend(size_t depth, std::vector<uint32_t>* out,
   }
 
   // The parent is already placed (preorder), so the separator values are
-  // bound in `out`; look the child tuples up by that key.
-  std::vector<uint32_t> key(node.sep_positions.size());
-  for (size_t i = 0; i < node.sep_positions.size(); ++i) {
-    key[i] = (*out)[slots[static_cast<size_t>(node.sep_positions[i])]];
-  }
-  const auto it = node.index.find(PackFullTupleKey(key));
+  // bound in `out`; look the child rows up by that key.
+  const auto it = node.index.find(PackTupleKey(*out, node.sep_slots));
   if (it == node.index.end()) return true;  // no extension below v
-  for (size_t t : it->second) {
-    if (!emit_tuple(node.tuples[t])) return false;
+  for (uint32_t r : it->second) {
+    if (!emit_row(r)) return false;
   }
   return true;
 }
@@ -381,25 +298,19 @@ bool YannakakisExecutor::Extend(size_t depth, std::vector<uint32_t>* out,
 std::vector<StoredProjection> YannakakisExecutor::ReducedProjections() const {
   std::vector<StoredProjection> out(nodes_.size());
   for (size_t v = 0; v < nodes_.size(); ++v) {
-    out[v].attrs = nodes_[v].attrs;
-    out[v].columns = nodes_[v].columns;
-    out[v].domains = nodes_[v].domains;
-    out[v].rows = nodes_[v].tuples;
+    const StoredProjection& src = *nodes_[v].projection;
+    out[v].attrs = src.attrs;
+    out[v].columns = src.columns;
+    out[v].domains = src.domains;
+    out[v].codes.resize(src.codes.size());
+    for (size_t c = 0; c < src.codes.size(); ++c) {
+      out[v].codes[c].reserve(nodes_[v].live.size());
+      for (uint32_t r : nodes_[v].live) {
+        out[v].codes[c].push_back(src.codes[c][r]);
+      }
+    }
   }
   return out;
-}
-
-bool YannakakisExecutor::ContainsRow(const Relation& relation,
-                                     size_t r) const {
-  std::vector<uint32_t> tuple;
-  for (const Node& node : nodes_) {
-    tuple.resize(node.columns.size());
-    for (size_t i = 0; i < node.columns.size(); ++i) {
-      tuple[i] = relation.Value(r, node.columns[i]);
-    }
-    if (node.keys.count(PackFullTupleKey(tuple)) == 0) return false;
-  }
-  return true;
 }
 
 }  // namespace maimon

@@ -10,14 +10,16 @@
 //               participates in at least one join result, so the join
 //               phase never generates dangling intermediates.
 //   Execute() — joins in join-tree order via per-edge hash indexes
-//               (separator key -> child tuples), streaming one result row
+//               (separator key -> child row ids), streaming one result row
 //               at a time: in count-only mode rows are counted and
 //               discarded (O(tree depth) live state, wide joins are never
 //               retained), with `materialize` they are collected.
 //
-// ContainsRow probes the reduced store with the definition of the natural
-// join — t is in the join iff every projection of t is present — which
-// doubles as an executor-independent membership oracle for the audit.
+// The executor reads the column-major StoredProjections in place: each
+// node holds only the ids of its live rows. Reduce filters those lists (in
+// order, so the reduced store is byte-identical at any thread count),
+// Execute indexes and enumerates them, and ReducedProjections gathers the
+// survivors into fresh projections. Nothing else is copied.
 
 #ifndef MAIMON_DECOMP_YANNAKAKIS_H_
 #define MAIMON_DECOMP_YANNAKAKIS_H_
@@ -26,7 +28,6 @@
 #include <functional>
 #include <string>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "decomp/projection_store.h"
@@ -39,8 +40,8 @@ namespace maimon {
 
 struct YannakakisOptions {
   /// Retain every joined row in JoinResult::tuples. Off by default: the
-  /// audit only needs the streamed count plus membership probes, so wide
-  /// reconstructions stay O(1) in result size.
+  /// audit only needs the streamed count, so wide reconstructions stay
+  /// O(1) in result size.
   bool materialize = false;
   /// Polled inside the reducer's per-tuple loops (every 1024 tuples) and
   /// every 1024 enumerated join rows; expiry returns the partial count with
@@ -74,24 +75,38 @@ struct JoinResult {
   Status status;
 };
 
+/// One executor input: a stored projection and the ids of its rows that
+/// take part in the join.
+struct ProjectionRows {
+  const StoredProjection* projection = nullptr;
+  std::vector<uint32_t> rows;
+};
+
 class YannakakisExecutor {
  public:
-  /// `store` must outlive the executor; its projections are copied into
-  /// mutable per-node tuple lists (Reduce filters them in place).
+  /// Joins every row of every projection of `store`, read in place:
+  /// `store` must outlive the executor.
   explicit YannakakisExecutor(const ProjectionStore& store);
+
+  /// Joins the given projections (an acyclic schema, e.g. a connected
+  /// subtree of a store's join tree), each restricted to its listed rows —
+  /// serve/'s pushdown-filtered plans. The projections must outlive the
+  /// executor.
+  explicit YannakakisExecutor(std::vector<ProjectionRows> inputs);
 
   /// Full semijoin reduction (idempotent; Execute runs it on demand).
   /// Deadline expiry leaves the store partially reduced and returns
   /// kDeadlineExceeded — the join result would still be correct, just
   /// slower, but callers on a blown budget want out, not a join.
   ///
-  /// With `num_threads` > 1 the passes run level-parallel: nodes of equal
-  /// tree depth are filtered concurrently (each task owns one node and
-  /// walks its children in order), with a barrier between levels. A node
-  /// only ever reads neighbors whose level is already final and only
-  /// mutates itself (leaf-to-root) or its own children (root-to-leaf), and
-  /// semijoin filtering preserves tuple order, so the reduced store — and
-  /// therefore the join — is byte-identical at any thread count.
+  /// Both passes are level-scheduled: nodes of equal tree depth are
+  /// filtered concurrently on `num_threads` workers (inline on the calling
+  /// thread at one), each task owning one node and walking its children in
+  /// order, with a barrier between levels. A node only ever reads
+  /// neighbors whose level is already final and only mutates itself
+  /// (leaf-to-root) or its own children (root-to-leaf), and semijoin
+  /// filtering preserves row order, so the reduced store — and therefore
+  /// the join — is byte-identical at any thread count.
   Status Reduce(const Deadline* deadline, int num_threads = 1,
                 obs::Sink* sink = nullptr);
 
@@ -108,36 +123,27 @@ class YannakakisExecutor {
   /// full-plan reduction of the same store.
   uint64_t semijoin_passes() const { return semijoin_passes_; }
 
-  /// Snapshot of the current per-node tuple lists as StoredProjections
-  /// (attrs/columns/domains preserved from construction). After a complete
+  /// The current live rows of every node gathered into fresh
+  /// StoredProjections (attrs/columns/domains as given). After a complete
   /// Reduce() this is the globally consistent store serve/ snapshots: the
   /// join of any connected subtree of it equals the projection of the full
   /// join onto that subtree's attributes.
   std::vector<StoredProjection> ReducedProjections() const;
 
-  /// True iff row `r` of `relation` (restricted to the schema universe) is
-  /// in the join: every projection of the row is present in the (reduced)
-  /// store. `relation` must be the one the store was built from.
-  bool ContainsRow(const Relation& relation, size_t r) const;
-
   const JoinTree& tree() const { return tree_; }
 
  private:
-  // One node's mutable execution state.
+  // One node's execution state: the projection it reads and its live rows.
   struct Node {
-    AttrSet attrs;
-    std::vector<int> columns;            // original column indices
-    std::vector<uint32_t> domains;       // per-column domain sizes
-    std::vector<std::vector<uint32_t>> tuples;
-    std::vector<int> sep_positions;      // parent-separator positions
-    // Membership keys of the current tuple list (full-width), rebuilt by
-    // Reduce; used by ContainsRow.
-    std::unordered_set<std::string> keys;
-    // Separator key -> tuple indices, built by Execute for non-root nodes.
-    std::unordered_map<std::string, std::vector<size_t>> index;
+    const StoredProjection* projection = nullptr;
+    std::vector<uint32_t> live;           // live row ids
+    std::vector<int> sep_positions;       // parent separator, own columns
+    std::vector<int> parent_positions;    // same separator, parent columns
+    std::vector<int> sep_slots;           // same separator, output slots
+    // Separator key -> live row ids, built by Execute for non-root nodes.
+    std::unordered_map<std::string, std::vector<uint32_t>> index;
   };
 
-  void RebuildKeys(Node* node) const;
   Status ReduceImpl(const Deadline* deadline, int num_threads,
                     obs::Sink* sink);
   // Depth-first extension over preorder position `depth`; returns false on

@@ -152,10 +152,10 @@ void QueryService::PointLookup(const Snapshot& snap, const QueryPlan& plan,
   Snapshot::LazyIndex& index =
       *snap.point_index_[static_cast<size_t>(pnode.store_index)][col];
   std::call_once(index.once, [&] {
+    const std::vector<uint32_t>& column = proj.codes[col];
     index.rows_by_value.reserve(proj.domains[col]);
-    for (size_t r = 0; r < proj.rows.size(); ++r) {
-      index.rows_by_value[proj.rows[r][col]].push_back(
-          static_cast<uint32_t>(r));
+    for (size_t r = 0; r < column.size(); ++r) {
+      index.rows_by_value[column[r]].push_back(static_cast<uint32_t>(r));
     }
   });
 
@@ -165,8 +165,7 @@ void QueryService::PointLookup(const Snapshot& snap, const QueryPlan& plan,
   std::unordered_set<std::string> seen;
   std::vector<uint32_t> out(slots.size());
   for (uint32_t r : it->second) {
-    const std::vector<uint32_t>& row = proj.rows[r];
-    for (size_t i = 0; i < slots.size(); ++i) out[i] = row[slots[i]];
+    for (size_t i = 0; i < slots.size(); ++i) out[i] = proj.codes[slots[i]][r];
     if (plan.needs_dedup && !seen.insert(PackFullTupleKey(out)).second) {
       continue;
     }
@@ -181,54 +180,46 @@ void QueryService::RunSubtree(const Snapshot& snap, const QueryPlan& plan,
   const std::vector<StoredProjection>& projections =
       snap.store().projections();
 
-  // Materialize the covering projections with every pushed-down predicate
-  // already applied — the executor then only ever semijoins the filtered
-  // row sets. Filtering can leave tuples dangling across nodes; the
-  // executor's own reduction restores consistency within the subtree.
-  std::vector<StoredProjection> sub;
-  sub.reserve(plan.nodes.size());
+  // The covering projections are read in place: each enters the executor
+  // as the ids of its rows that pass every pushed-down predicate, so the
+  // executor only ever semijoins the filtered row sets. Filtering can
+  // leave rows dangling across nodes; a connected subtree of a join tree
+  // is itself an acyclic schema, so the executor's own reduction over it
+  // restores consistency within the subtree.
+  std::vector<ProjectionRows> inputs;
+  inputs.reserve(plan.nodes.size());
   uint64_t polls = 0;
   for (const PlanNode& pnode : plan.nodes) {
-    const StoredProjection& src =
+    const StoredProjection& proj =
         projections[static_cast<size_t>(pnode.store_index)];
-    StoredProjection sp;
-    sp.attrs = src.attrs;
-    sp.columns = src.columns;
-    sp.domains = src.domains;
-    if (pnode.selections.empty()) {
-      sp.rows = src.rows;
-    } else {
-      std::vector<std::pair<size_t, Selection>> preds;
-      preds.reserve(pnode.selections.size());
-      for (const Selection& sel : pnode.selections) {
-        size_t col = 0;
-        while (src.columns[col] != sel.attr) ++col;
-        preds.emplace_back(col, sel);
-      }
-      sp.rows.reserve(src.rows.size());
-      for (const std::vector<uint32_t>& row : src.rows) {
-        if ((++polls & 1023) == 0 && DeadlineExpired(deadline)) {
-          result->status = Status::DeadlineExceeded("serve pushdown filter");
-          return;
-        }
-        bool keep = true;
-        for (const std::pair<size_t, Selection>& pred : preds) {
-          if (!pred.second.Matches(row[pred.first])) {
-            keep = false;
-            break;
-          }
-        }
-        if (keep) sp.rows.push_back(row);
-      }
+    std::vector<std::pair<const std::vector<uint32_t>*, Selection>> preds;
+    preds.reserve(pnode.selections.size());
+    for (const Selection& sel : pnode.selections) {
+      size_t col = 0;
+      while (proj.columns[col] != sel.attr) ++col;
+      preds.emplace_back(&proj.codes[col], sel);
     }
-    sub.push_back(std::move(sp));
+    ProjectionRows in;
+    in.projection = &proj;
+    in.rows.reserve(proj.NumRows());
+    for (uint32_t r = 0; r < proj.NumRows(); ++r) {
+      if ((++polls & 1023) == 0 && DeadlineExpired(deadline)) {
+        result->status = Status::DeadlineExceeded("serve pushdown filter");
+        return;
+      }
+      bool keep = true;
+      for (const auto& [column, sel] : preds) {
+        if (!sel.Matches((*column)[r])) {
+          keep = false;
+          break;
+        }
+      }
+      if (keep) in.rows.push_back(r);
+    }
+    inputs.push_back(std::move(in));
   }
 
-  // A connected subtree of a join tree is itself an acyclic schema, so the
-  // executor's max-overlap tree over it is a valid join tree and the
-  // standard reduce + enumerate machinery applies unchanged.
-  ProjectionStore substore(std::move(sub), /*original_cells=*/0);
-  YannakakisExecutor executor(substore);
+  YannakakisExecutor executor(std::move(inputs));
   YannakakisOptions yopts;
   yopts.deadline = deadline;
   yopts.num_threads = 1;

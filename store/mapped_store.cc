@@ -380,36 +380,34 @@ Status MappedStore::ToProjectionStore(ProjectionStore* out,
       return Status::DataLoss(
           "store: projection attribute mask disagrees with column count");
     }
-    // Bound num_rows BEFORE allocating row storage: a corrupted count must
-    // fail validation, not drive a huge allocation. Every non-empty
-    // projection's rows are backed by at least one u32 column array.
-    if (entry.num_cols == 0 ? entry.num_rows != 0
-                            : entry.num_rows > blob_len / sizeof(uint32_t)) {
+    // A projection without columns cannot carry rows.
+    if (entry.num_cols == 0 && entry.num_rows != 0) {
       return Status::DataLoss("store: projection row count exceeds the data");
     }
-    sp.columns.reserve(entry.num_cols);
+    sp.columns = sp.attrs.ToVector();
     sp.domains.reserve(entry.num_cols);
-    sp.rows.assign(entry.num_rows, std::vector<uint32_t>(entry.num_cols));
-    const std::vector<int> attr_ids = sp.attrs.ToVector();
+    sp.codes.reserve(entry.num_cols);
     for (uint32_t c = 0; c < entry.num_cols; ++c) {
+      // ColumnSpan bounds the array inside the column data before anything
+      // is allocated for it, so a corrupted row count fails validation
+      // instead of driving a huge allocation.
       const uint32_t* column_data;
       size_t rows;
       status = ColumnSpan(v, c, &column_data, &rows);
       if (!status.ok()) return status;
       const ProjColEntry col_entry = ReadPod<ProjColEntry>(
           cols + (entry.first_col + c) * sizeof(ProjColEntry));
-      if (static_cast<int>(col_entry.column) != attr_ids[c]) {
+      if (static_cast<int>(col_entry.column) != sp.columns[c]) {
         return Status::DataLoss(
             "store: column ids disagree with the attribute mask");
       }
-      sp.columns.push_back(static_cast<int>(col_entry.column));
-      sp.domains.push_back(col_entry.domain);
       for (size_t r = 0; r < rows; ++r) {
         if (column_data[r] >= col_entry.domain) {
           return Status::DataLoss("store: column code exceeds its domain");
         }
-        sp.rows[r][c] = column_data[r];
       }
+      sp.domains.push_back(col_entry.domain);
+      sp.codes.emplace_back(column_data, column_data + rows);
     }
     total_rows += entry.num_rows;
     projections.push_back(std::move(sp));

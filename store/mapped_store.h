@@ -84,10 +84,11 @@ class MappedStore {
   Status ColumnSpan(size_t projection, size_t col, const uint32_t** data,
                     size_t* rows) const;
 
-  /// Materializes the full foreign ProjectionStore (row-major rows
-  /// gathered from the mapped column arrays — a straight transpose, no
-  /// parsing, no dedup). The result carries original_cells and the
-  /// canonical flag from kMeta, so it plugs directly into
+  /// Materializes the full foreign ProjectionStore: each mapped column
+  /// array is checked code-by-code against its domain and copied into the
+  /// projection's own column array of the same layout — one allocation
+  /// per column, no parsing, no dedup. The result carries original_cells
+  /// and the canonical flag from kMeta, so it plugs directly into
   /// serve::QueryService / Swap. Emits a "store.load" span plus
   /// store.load.projections / store.load.rows counters.
   Status ToProjectionStore(ProjectionStore* out,

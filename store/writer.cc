@@ -213,7 +213,7 @@ Status Writer::Write(const ProjectionStore& projs, const std::string& path,
   for (const StoredProjection& p : projs.projections()) {
     ProjEntry entry;
     entry.attrs = p.attrs.bits();
-    entry.num_rows = p.rows.size();
+    entry.num_rows = p.NumRows();
     entry.first_col = cols.size();
     entry.num_cols = static_cast<uint32_t>(p.columns.size());
     table.push_back(entry);
@@ -223,7 +223,7 @@ Status Writer::Write(const ProjectionStore& projs, const std::string& path,
       col.domain = p.domains[c];
       col.data_offset = data_cursor;
       cols.push_back(col);
-      data_cursor = AlignUp(data_cursor + p.rows.size() * sizeof(uint32_t));
+      data_cursor = AlignUp(data_cursor + p.NumRows() * sizeof(uint32_t));
     }
   }
 
@@ -235,13 +235,10 @@ Status Writer::Write(const ProjectionStore& projs, const std::string& path,
   for (const ProjColEntry& col : cols) image.AppendPod(col);
   image.End();
 
+  // The in-memory column arrays are the file's column arrays, verbatim.
   image.Begin(kColumnData);
   for (const StoredProjection& p : projs.projections()) {
-    for (size_t c = 0; c < p.columns.size(); ++c) {
-      // Transpose row-major StoredProjection rows into the column-major
-      // arrays the mapped reader addresses directly.
-      std::vector<uint32_t> column(p.rows.size());
-      for (size_t r = 0; r < p.rows.size(); ++r) column[r] = p.rows[r][c];
+    for (const std::vector<uint32_t>& column : p.codes) {
       image.Append(column.data(), column.size() * sizeof(uint32_t));
       image.Pad();
     }

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "data/metanome_shapes.h"
 #include "data/nursery.h"
@@ -136,6 +137,43 @@ TEST_CASE(CsvRoundTripsExactly) {
     std::fclose(f);
   }
   CHECK(!ImportCsv(path, &back).ok());
+  std::remove(path.c_str());
+}
+
+TEST_CASE(CsvImportRejectsWhatAttrSetCannotAddress) {
+  // One header row of `cols` names, then one data row repeating `cell`.
+  const std::string path = "data_test_limits.csv";
+  const auto write_csv = [&](int cols, const std::string& cell) {
+    std::string text;
+    const std::vector<std::string> names = DefaultColumnNames(cols);
+    for (int c = 0; c < cols; ++c) text += (c > 0 ? "," : "") + names[c];
+    text += "\n";
+    for (int c = 0; c < cols; ++c) text += (c > 0 ? "," : "") + cell;
+    text += "\n";
+    std::FILE* f = std::fopen(path.c_str(), "w");
+    std::fputs(text.c_str(), f);
+    std::fclose(f);
+  };
+
+  // 64 columns is the widest relation AttrSet addresses: imported whole.
+  Relation r;
+  write_csv(AttrSet::kMaxAttrs, "3");
+  CHECK(ImportCsv(path, &r).ok());
+  CHECK_EQ(r.NumCols(), AttrSet::kMaxAttrs);
+  CHECK_EQ(r.Universe().Count(), AttrSet::kMaxAttrs);
+  CHECK_EQ(r.DomainSize(AttrSet::kMaxAttrs - 1), 4u);
+
+  // A 65th column would be silently left out of Universe(): rejected.
+  write_csv(AttrSet::kMaxAttrs + 1, "3");
+  CHECK(ImportCsv(path, &r).code() == Status::Code::kInvalidArgument);
+
+  // 4294967295 would wrap its domain size (max code + 1) to 0: rejected.
+  // One less is the largest code a u32 domain can hold.
+  write_csv(2, "4294967295");
+  CHECK(ImportCsv(path, &r).code() == Status::Code::kInvalidArgument);
+  write_csv(2, "4294967294");
+  CHECK(ImportCsv(path, &r).ok());
+  CHECK_EQ(r.DomainSize(0), 4294967295u);
   std::remove(path.c_str());
 }
 

@@ -187,12 +187,12 @@ TEST_CASE(SemijoinReducerDropsDanglingImportedTuples) {
   StoredProjection ab;
   ab.attrs = AttrSet(0b011);
   ab.columns = {0, 1};
-  ab.rows = {{0, 0}, {1, 7}};
+  ab.codes = {{0, 1}, {0, 7}};  // rows (0,0) and (1,7)
   ab.domains = {2, 8};
   StoredProjection bc;
   bc.attrs = AttrSet(0b110);
   bc.columns = {1, 2};
-  bc.rows = {{0, 2}};
+  bc.codes = {{0}, {2}};  // row (0,2)
   bc.domains = {8, 3};
   const ProjectionStore store({ab, bc}, /*original_cells=*/0);
 
@@ -220,12 +220,10 @@ TEST_CASE(ReducerPollsTheDeadlineInsideASingleSemijoinLevel) {
   bc.attrs = AttrSet(0b110);
   bc.columns = {1, 2};
   bc.domains = {n, n};
-  ab.rows.reserve(n);
-  bc.rows.reserve(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    ab.rows.push_back({i, i});
-    bc.rows.push_back({i, i});
-  }
+  std::vector<uint32_t> ids(n);
+  for (uint32_t i = 0; i < n; ++i) ids[i] = i;
+  ab.codes = {ids, ids};  // rows (i, i)
+  bc.codes = {ids, ids};
   const ProjectionStore store({std::move(ab), std::move(bc)},
                               /*original_cells=*/0);
 
@@ -283,7 +281,7 @@ TEST_CASE(CyclicAndEmptySchemasAreRejected) {
            Status::Code::kInvalidArgument);
 }
 
-TEST_CASE(ProjectionStoreAccountingAndExport) {
+TEST_CASE(ProjectionStoreAccountingAndLayout) {
   const PlantedDataset d = MakePlanted(8, 2, 41);
   const Schema schema(d.schema.Bags());
   const ProjectionStore store(d.relation, schema);
@@ -299,14 +297,13 @@ TEST_CASE(ProjectionStoreAccountingAndExport) {
     cells += p.Cells();
     bytes += p.Bytes();
 
-    // ToRelation round-trips the stored rows (codes preserved verbatim).
-    const Relation rel = p.ToRelation();
-    CHECK_EQ(rel.NumRows(), p.NumRows());
-    CHECK_EQ(rel.NumCols(), static_cast<int>(p.columns.size()));
-    for (size_t t = 0; t < p.rows.size(); ++t) {
-      for (size_t c = 0; c < p.columns.size(); ++c) {
-        CHECK_EQ(rel.Value(t, static_cast<int>(c)), p.rows[t][c]);
-      }
+    // One code array per column, each NumRows() long, every code inside
+    // its column's domain.
+    CHECK_EQ(p.codes.size(), p.columns.size());
+    for (size_t c = 0; c < p.columns.size(); ++c) {
+      CHECK_EQ(p.codes[c].size(), p.NumRows());
+      CHECK_EQ(p.domains[c], d.relation.DomainSize(p.columns[c]));
+      for (uint32_t code : p.codes[c]) CHECK(code < p.domains[c]);
     }
   }
   CHECK_EQ(store.TotalRows(), rows);

@@ -1,15 +1,14 @@
 // Copyright (c) Maimon-cpp authors. Licensed under the MIT license.
 //
-// Cross-checks for the two enumeration substrates against brute force on
-// small random instances: every emitted set is valid and maximal/minimal,
-// and the enumeration is complete and duplicate-free.
+// Cross-checks for the maximal-independent-set enumeration against brute
+// force on small random instances: every emitted set is independent and
+// maximal, and the enumeration is complete and duplicate-free.
 
 #include <algorithm>
 #include <set>
 #include <vector>
 
 #include "graph/mis.h"
-#include "hypergraph/transversals.h"
 #include "tests/test_util.h"
 #include "util/rng.h"
 
@@ -164,83 +163,6 @@ TEST_CASE(MisEarlyStopIsHonored) {
     return count < 3;
   });
   CHECK_EQ(count, 3);
-}
-
-// --- minimal transversals ---------------------------------------------------
-
-std::set<uint64_t> BruteMinTransversals(const std::vector<AttrSet>& edges,
-                                        int n) {
-  std::vector<uint64_t> hitting;
-  for (uint64_t mask = 0; mask < (uint64_t{1} << n); ++mask) {
-    bool hits_all = true;
-    for (AttrSet e : edges) {
-      if ((mask & e.bits()) == 0) {
-        hits_all = false;
-        break;
-      }
-    }
-    if (hits_all) hitting.push_back(mask);
-  }
-  std::set<uint64_t> minimal;
-  for (uint64_t mask : hitting) {
-    bool is_minimal = true;
-    for (uint64_t other : hitting) {
-      if (other != mask && (other & mask) == other) {
-        is_minimal = false;
-        break;
-      }
-    }
-    if (is_minimal) minimal.insert(mask);
-  }
-  return minimal;
-}
-
-TEST_CASE(TransversalsMatchBruteForce) {
-  Rng rng(13);
-  for (int trial = 0; trial < 15; ++trial) {
-    const int n = 3 + static_cast<int>(rng.Uniform(9));  // 3..11 vertices
-    const int m = 1 + static_cast<int>(rng.Uniform(7));
-    std::vector<AttrSet> edges;
-    for (int i = 0; i < m; ++i) {
-      AttrSet e;
-      // Edge size capped by n: drawing k distinct vertices from fewer than
-      // k would never terminate.
-      const int size =
-          1 + static_cast<int>(rng.Uniform(static_cast<uint64_t>(
-                  std::min(4, n))));
-      while (e.Count() < size) e.Add(static_cast<int>(rng.Uniform(n)));
-      edges.push_back(e);
-    }
-    std::set<uint64_t> emitted;
-    bool duplicates = false;
-    EnumerateMinimalTransversals(edges, AttrSet::Universe(n),
-                                 [&](AttrSet t) {
-                                   duplicates |= !emitted.insert(t.bits()).second;
-                                   return true;
-                                 });
-    CHECK(!duplicates);
-    CHECK_EQ(emitted, BruteMinTransversals(edges, n));
-  }
-}
-
-TEST_CASE(TransversalEdgeCases) {
-  // Empty hypergraph: the empty set is the unique minimal transversal.
-  int count = 0;
-  EnumerateMinimalTransversals({}, AttrSet::Universe(5), [&](AttrSet t) {
-    CHECK(t.Empty());
-    ++count;
-    return true;
-  });
-  CHECK_EQ(count, 1);
-
-  // An edge outside the vertex set is uncoverable: nothing is emitted.
-  count = 0;
-  EnumerateMinimalTransversals({AttrSet(0b100000)}, AttrSet::Universe(5),
-                               [&](AttrSet) {
-                                 ++count;
-                                 return true;
-                               });
-  CHECK_EQ(count, 0);
 }
 
 }  // namespace

@@ -7,8 +7,9 @@
 //     chains, noisy variants, a mined Nursery sample);
 //   * partial reconstruction is exact: at eps = 0 a query's result is
 //     byte-identical to pi_attrs(sigma(r)) computed directly on the
-//     relation, and on noisy stores it equals the full-plan join filtered
-//     and projected after the fact (selection pushdown changes cost, never
+//     relation, and on noisy stores — planted schemes and schemes mined
+//     at eps 0.1 and 0.3 — it equals the full-plan join filtered and
+//     projected after the fact (selection pushdown changes cost, never
 //     results);
 //   * the pruning is observable: a k-attribute query runs strictly fewer
 //     semijoin passes than the full plan (obs yk.semijoin_passes);
@@ -27,6 +28,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/maimon.h"
@@ -36,6 +38,7 @@
 #include "decomp/yannakakis.h"
 #include "obs/trace.h"
 #include "scheme/assembler.h"
+#include "scheme/ranker.h"
 #include "serve/planner.h"
 #include "serve/service.h"
 #include "store/writer.h"
@@ -298,16 +301,54 @@ TEST_CASE(PartialReconstructionEqualsDirectProjectionAtEpsZero) {
   }
 }
 
+// The top scheme by J that Maimon mines from `r` at `eps`: the scheme a
+// deployment serves (pipebench deploys exactly this one).
+Schema TopMinedScheme(const Relation& r, double eps) {
+  MaimonConfig config;
+  config.epsilon = eps;
+  config.mvd_budget_seconds = 60.0;
+  config.schema_budget_seconds = 60.0;
+  config.schemas.max_schemas = 200;
+  Maimon maimon(r, config);
+  const AsMinerResult mined = maimon.MineSchemas();
+  CHECK(mined.status.ok());
+  CHECK(!mined.schemas.empty());
+  RankerOptions ranker;
+  ranker.primary = RankKey::kJMeasure;
+  const RankResult ranked =
+      RankSchemes(r, mined.schemas, maimon.oracle(), ranker);
+  CHECK(ranked.status.ok());
+  CHECK(!ranked.ranked.empty());
+  return ranked.ranked.front().schema;
+}
+
 TEST_CASE(SelectionPushdownEqualsFilterAfterJoin) {
-  // Noisy fixtures: join != r, so the referee is the FULL plan joined
-  // first and filtered after — pushdown must not change a single row.
+  // Noisy stores: join != r, so the referee is the FULL plan joined first
+  // and filtered after — pushdown must not change a single row. Planted
+  // schemes, plus mined ones: Nursery at eps 0.3 (whose top scheme is the
+  // [C][ABDEFGHI] the serve-nursery benchmark deploys) and a noisy
+  // planted chain at eps 0.1.
+  std::vector<std::pair<Relation, Schema>> inputs;
   for (const Fixture& f : {MakeChainFixture(8, 3, 11, /*noise=*/0.02),
                            MakeChainFixture(9, 2, 13, /*noise=*/0.1)}) {
-    const ProjectionStore store(f.data.relation, f.schema);
-    const serve::QueryService service(
-        ProjectionStore(f.data.relation, f.schema));
-    for (const serve::Query& q :
-         EnumerateQueries(f.data.relation.Universe())) {
+    inputs.emplace_back(f.data.relation, f.schema);
+  }
+  const Relation nursery = NurseryDataset();
+  const Schema nursery_scheme = TopMinedScheme(nursery, 0.3);
+  CHECK_EQ(nursery_scheme.ToString(), std::string("[C][ABDEFGHI]"));
+  inputs.emplace_back(nursery, nursery_scheme);
+  const Relation chain = MakePlanted(9, 3, 37, /*noise=*/0.05).relation;
+  const Schema chain_scheme = TopMinedScheme(chain, 0.1);
+  CHECK(chain_scheme.NumRelations() >= 2);
+  inputs.emplace_back(chain, chain_scheme);
+  std::printf("  mined: nursery %s, noisy chain %s\n",
+              nursery_scheme.ToString().c_str(),
+              chain_scheme.ToString().c_str());
+
+  for (const auto& [relation, schema] : inputs) {
+    const ProjectionStore store(relation, schema);
+    const serve::QueryService service(ProjectionStore(relation, schema));
+    for (const serve::Query& q : EnumerateQueries(relation.Universe())) {
       CheckAnswer(service, q, FullPlanAnswer(store, q));
     }
   }

@@ -11,12 +11,18 @@
 //   * corruption safety: a truncated file, a flipped magic, a bit flip in
 //     a section payload, and an out-of-bounds section offset each surface
 //     as Status kDataLoss — never a crash, never UB (this test runs in the
-//     ASan lane), and never a section interpreted before its CRC passed.
+//     ASan lane), and never a section interpreted before its CRC passed;
+//     a sweep over every single-byte flip and every truncation length of
+//     a small store file either fails with kDataLoss or loads a store that
+//     answers a fixed query set byte-identically to the intact file; and a
+//     row count past the column data is kDataLoss even with every
+//     checksum re-stamped.
 
 #include <unistd.h>
 
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -28,6 +34,7 @@
 #include "decomp/yannakakis.h"
 #include "join/join_tree.h"
 #include "obs/trace.h"
+#include "serve/service.h"
 #include "store/format.h"
 #include "store/mapped_store.h"
 #include "store/writer.h"
@@ -96,7 +103,7 @@ void CheckStoresIdentical(const ProjectionStore& got,
     CHECK_EQ(g.attrs.bits(), w.attrs.bits());
     CHECK_EQ(g.columns, w.columns);
     CHECK_EQ(g.domains, w.domains);
-    CHECK_EQ(g.rows, w.rows);  // every row, in order, byte-identical
+    CHECK_EQ(g.codes, w.codes);  // every row, in order, byte-identical
   }
 }
 
@@ -216,10 +223,12 @@ TEST_CASE(EmptyAndZeroRowStoresRoundTrip) {
     StoredProjection p;
     p.attrs = AttrSet(0b011);
     p.columns = {0, 1};
+    p.codes.resize(2);
     p.domains = {4, 5};
     StoredProjection q;
     q.attrs = AttrSet(0b110);
     q.columns = {1, 2};
+    q.codes.resize(2);
     q.domains = {5, 6};
     const ProjectionStore zero({p, q}, /*original_cells=*/30);
     CHECK(store::Writer().Write(zero, file.path).ok());
@@ -243,8 +252,8 @@ TEST_CASE(ColumnSpanIsZeroCopyIntoTheMapping) {
       const uint32_t* data = nullptr;
       size_t rows = 0;
       CHECK(mapped.ColumnSpan(v, c, &data, &rows).ok());
-      CHECK_EQ(rows, p.rows.size());
-      for (size_t i = 0; i < rows; ++i) CHECK_EQ(data[i], p.rows[i][c]);
+      CHECK_EQ(rows, p.NumRows());
+      for (size_t i = 0; i < rows; ++i) CHECK_EQ(data[i], p.codes[c][i]);
     }
   }
   // Caller errors are kInvalidArgument (the file is fine), not kDataLoss.
@@ -354,6 +363,143 @@ TEST_CASE(OutOfBoundsSectionOffsetIsDataLoss) {
   patched[entry0 + 8] = static_cast<char>(patched[entry0 + 8] | 0x01);
   WriteFileBytes(file.path, patched);
   CHECK(OpenIsDataLoss(file.path));
+}
+
+// Status, row count and rows of a fixed query set served from `store`:
+// every single attribute, the whole universe, and the universe under an
+// equality selection on each attribute.
+std::vector<std::string> SweepAnswers(ProjectionStore store) {
+  const serve::QueryService service(std::move(store));
+  const AttrSet universe = service.snapshot()->planner().universe();
+  std::vector<serve::Query> queries(1);
+  queries[0].attrs = universe;
+  for (int a : universe.ToVector()) {
+    serve::Query single;
+    single.attrs = AttrSet::Single(a);
+    queries.push_back(single);
+    serve::Query selected;
+    selected.attrs = universe;
+    selected.selections.push_back(serve::Selection::Eq(a, 1));
+    queries.push_back(selected);
+  }
+  std::vector<std::string> answers;
+  for (const serve::Query& q : queries) {
+    const serve::QueryResult res = service.Execute(q);
+    std::string answer = std::to_string(static_cast<int>(res.status.code())) +
+                         " " + std::to_string(res.rows);
+    for (const std::vector<uint32_t>& row : res.tuples) {
+      for (uint32_t code : row) answer += " " + std::to_string(code);
+      answer += ";";
+    }
+    answers.push_back(std::move(answer));
+  }
+  return answers;
+}
+
+TEST_CASE(EveryByteFlipAndTruncationIsDataLossOrHarmless) {
+  // A store of a few KB with every section populated.
+  const Relation r = MakeRelation(6, 29, /*max_rows=*/96);
+  const Schema schema = ChainSchema(6);
+  const ProjectionStore built(r, schema);
+  store::StoreMeta meta;
+  meta.column_names = DefaultColumnNames(r.NumCols());
+  meta.schema = schema;
+  meta.mvds.emplace_back(AttrSet(0b001000), AttrSet(0b000111),
+                         AttrSet(0b110000));
+  const FileGuard file(TempPath("sweep"));
+  CHECK(store::Writer(meta).Write(built, file.path).ok());
+  const std::string bytes = ReadFileBytes(file.path);
+  CHECK(bytes.size() > 1024 && bytes.size() < 8192);
+  const std::vector<std::string> want = SweepAnswers(built);
+
+  size_t data_loss = 0;
+  size_t loaded = 0;
+  size_t wrong = 0;  // any other status, or a load with different answers
+  const auto try_load = [&](const std::string& image) {
+    WriteFileBytes(file.path, image);
+    store::MappedStore mapped;
+    Status status = store::MappedStore::Open(file.path, &mapped);
+    ProjectionStore got(std::vector<StoredProjection>(), 0);
+    if (status.ok()) status = mapped.ToProjectionStore(&got);
+    if (!status.ok()) {
+      ++(status.code() == Status::Code::kDataLoss ? data_loss : wrong);
+      return;
+    }
+    ++loaded;
+    // The sections ToProjectionStore never reads still validate cleanly.
+    Schema schema_back;
+    JoinTree tree;
+    std::vector<Mvd> mvds;
+    std::vector<std::string> names;
+    for (const Status& s :
+         {mapped.ReadSchema(&schema_back), mapped.ReadJoinTree(&tree),
+          mapped.ReadMvds(&mvds), mapped.ReadColumnNames(&names)}) {
+      if (!s.ok() && s.code() != Status::Code::kDataLoss) ++wrong;
+    }
+    if (SweepAnswers(std::move(got)) != want) ++wrong;
+  };
+  // Each byte flipped twice: its lowest bit (a code stays inside its
+  // domain, so only the checksums can tell) and all eight bits.
+  for (size_t i = 0; i < bytes.size(); ++i) {
+    for (int mask : {0x01, 0xFF}) {
+      std::string image = bytes;
+      image[i] = static_cast<char>(image[i] ^ mask);
+      try_load(image);
+    }
+  }
+  for (size_t len = 0; len < bytes.size(); ++len) {
+    try_load(bytes.substr(0, len));
+  }
+  CHECK_EQ(wrong, size_t{0});
+  CHECK_EQ(data_loss + loaded, 3 * bytes.size());
+  // Truncation alone accounts for bytes.size() DataLoss verdicts; the
+  // checksums catch every flip outside padding and unread sections.
+  CHECK(data_loss > 2 * bytes.size());
+  std::printf("  sweep over %zu bytes: %zu DataLoss, %zu harmless loads\n",
+              bytes.size(), data_loss, loaded);
+}
+
+// Rewrites the first projection's row count in a store image and
+// re-stamps the section CRC, the fingerprint and the header CRC, so the
+// file passes every checksum and only the loader's own checks remain.
+std::string WithFirstProjectionRows(std::string bytes, uint64_t num_rows) {
+  store::Header header;
+  std::memcpy(&header, bytes.data(), sizeof(header));
+  std::vector<store::SectionEntry> entries(header.section_count);
+  std::memcpy(entries.data(), bytes.data() + sizeof(header),
+              entries.size() * sizeof(store::SectionEntry));
+  for (store::SectionEntry& e : entries) {
+    if (e.kind != store::kProjTable) continue;
+    store::ProjEntry entry;
+    std::memcpy(&entry, bytes.data() + e.offset, sizeof(entry));
+    entry.num_rows = num_rows;
+    std::memcpy(&bytes[e.offset], &entry, sizeof(entry));
+    e.crc = store::Crc32(bytes.data() + e.offset, e.length);
+  }
+  std::memcpy(&bytes[sizeof(header)], entries.data(),
+              entries.size() * sizeof(store::SectionEntry));
+  header.fingerprint =
+      store::Fingerprint(header.version, entries.data(), entries.size());
+  header.header_crc = store::HeaderCrc(header);
+  std::memcpy(&bytes[0], &header, sizeof(header));
+  return bytes;
+}
+
+TEST_CASE(ChecksummedRowCountBeyondTheDataIsDataLoss) {
+  // A row count past the column data is caught by the loader's bounds
+  // checks even when every checksum agrees, before the count sizes any
+  // allocation (ASan would flag a 2^40-row one).
+  const FileGuard file(TempPath("rows"));
+  const std::string bytes = ValidStoreBytes(file.path);
+  for (uint64_t num_rows :
+       {static_cast<uint64_t>(bytes.size()), uint64_t{1} << 40}) {
+    WriteFileBytes(file.path, WithFirstProjectionRows(bytes, num_rows));
+    store::MappedStore mapped;
+    CHECK(store::MappedStore::Open(file.path, &mapped).ok());
+    ProjectionStore loaded(std::vector<StoredProjection>(), 0);
+    CHECK(mapped.ToProjectionStore(&loaded).code() ==
+          Status::Code::kDataLoss);
+  }
 }
 
 TEST_CASE(MissingFileIsNotADataLossCrash) {
