@@ -60,7 +60,7 @@ std::vector<int> MinimalCoveringSubtree(const JoinTree& tree,
                                         AttrSet touched);
 
 /// Byte-packed key of the `positions`-projection of `tuple` — the hash key
-/// both join implementations use for separator matching.
+/// the Yannakakis executor uses for separator matching.
 inline std::string PackTupleKey(const std::vector<uint32_t>& tuple,
                                 const std::vector<int>& positions) {
   std::string key(positions.size() * sizeof(uint32_t), '\0');

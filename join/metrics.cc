@@ -2,51 +2,21 @@
 
 #include "join/metrics.h"
 
-#include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "join/join_tree.h"
 
 namespace maimon {
-namespace {
-
-struct ProjectedRelation {
-  std::vector<int> attrs;                      // original column indices
-  std::vector<std::vector<uint32_t>> tuples;   // distinct projected rows
-};
-
-ProjectedRelation Project(const Relation& relation, AttrSet attrs) {
-  ProjectedRelation out;
-  out.attrs = attrs.ToVector();
-  std::unordered_set<std::string> seen;
-  std::vector<uint32_t> tuple(out.attrs.size());
-  for (size_t r = 0; r < relation.NumRows(); ++r) {
-    for (size_t i = 0; i < out.attrs.size(); ++i) {
-      tuple[i] = relation.Value(r, out.attrs[i]);
-    }
-    std::string key(reinterpret_cast<const char*>(tuple.data()),
-                    tuple.size() * sizeof(uint32_t));
-    if (seen.insert(std::move(key)).second) out.tuples.push_back(tuple);
-  }
-  return out;
-}
-
-// Positions (within `rel.attrs`) of the shared attributes with `other`.
-std::vector<int> SharedPositions(const ProjectedRelation& rel,
-                                 AttrSet shared) {
-  std::vector<int> out;
-  for (size_t i = 0; i < rel.attrs.size(); ++i) {
-    if (shared.Contains(rel.attrs[i])) out.push_back(static_cast<int>(i));
-  }
-  return out;
-}
-
-}  // namespace
 
 SchemaReport EvaluateSchema(const Relation& relation, const Schema& schema,
                             const InfoCalc& oracle) {
+  RowLabelMemo labels(relation);
+  return EvaluateSchema(schema, oracle, &labels);
+}
+
+SchemaReport EvaluateSchema(const Schema& schema, const InfoCalc& oracle,
+                            RowLabelMemo* labels) {
+  const Relation& relation = labels->relation();
   SchemaReport report;
   report.num_relations = schema.NumRelations();
   report.width = schema.Width();
@@ -54,14 +24,14 @@ SchemaReport EvaluateSchema(const Relation& relation, const Schema& schema,
   const size_t m = rels.size();
   if (m == 0 || relation.NumRows() == 0) return report;
 
-  // Distinct projections (the decomposed storage).
-  std::vector<ProjectedRelation> projections;
-  projections.reserve(m);
+  // Distinct projections (the decomposed storage): a relation's distinct
+  // tuples are the first-occurrence rows of its labels.
+  std::vector<const RowLabels*> nodes(m);
   size_t projected_cells = 0;
-  for (AttrSet r : rels) {
-    projections.push_back(Project(relation, r));
-    projected_cells += projections.back().tuples.size() *
-                       projections.back().attrs.size();
+  for (size_t v = 0; v < m; ++v) {
+    nodes[v] = &labels->Of(rels[v]);
+    projected_cells +=
+        nodes[v]->NumDistinct() * static_cast<size_t>(rels[v].Count());
   }
   const size_t original_cells = relation.NumRows() *
                                 static_cast<size_t>(relation.NumCols());
@@ -98,52 +68,52 @@ SchemaReport EvaluateSchema(const Relation& relation, const Schema& schema,
   }
 
   // Exact acyclic-join row count: bottom-up counting DP. The message from
-  // child c to its parent maps separator values to the number of join
-  // results in c's subtree consistent with those values.
-  std::vector<std::unordered_map<std::string, double>> message(m);
+  // child c to its parent is indexed by the separator's label: entry s is
+  // the number of join results in c's subtree whose separator tuple has id
+  // s. Every node and its parent project the same relation, so both sides
+  // of an edge read one labeling of the separator.
+  std::vector<std::vector<double>> message(m);
+  std::vector<const uint32_t*> child_sep;
   for (size_t i = order.size(); i-- > 0;) {
-    const int v = order[i];
-    const ProjectedRelation& pv = projections[static_cast<size_t>(v)];
-    // Per-child separator positions within v's attribute list.
-    std::vector<std::vector<int>> child_pos;
-    for (int c : children[static_cast<size_t>(v)]) {
-      child_pos.push_back(SharedPositions(
-          pv, rels[static_cast<size_t>(v)].Intersect(
-                  rels[static_cast<size_t>(c)])));
+    const size_t v = static_cast<size_t>(order[i]);
+    const std::vector<int>& kids = children[v];
+    child_sep.clear();
+    for (int c : kids) {
+      child_sep.push_back(
+          labels->Of(rels[v].Intersect(rels[static_cast<size_t>(c)]))
+              .labels.data());
     }
-    std::vector<int> up_pos;
-    if (parent[static_cast<size_t>(v)] >= 0) {
-      up_pos = SharedPositions(
-          pv, rels[static_cast<size_t>(v)].Intersect(
-                  rels[static_cast<size_t>(parent[static_cast<size_t>(v)])]));
+    const uint32_t* up_sep = nullptr;
+    if (parent[v] >= 0) {
+      const RowLabels& up =
+          labels->Of(rels[v].Intersect(rels[static_cast<size_t>(parent[v])]));
+      up_sep = up.labels.data();
+      message[v].assign(up.NumDistinct(), 0.0);
     }
     double total = 0.0;
-    for (const auto& tuple : pv.tuples) {
+    for (uint32_t row : nodes[v]->first_rows) {
       double weight = 1.0;
-      for (size_t k = 0; k < children[static_cast<size_t>(v)].size(); ++k) {
-        const int c = children[static_cast<size_t>(v)][k];
-        const auto& msg = message[static_cast<size_t>(c)];
-        const auto it = msg.find(PackTupleKey(tuple, child_pos[k]));
-        weight *= it == msg.end() ? 0.0 : it->second;
+      for (size_t k = 0; k < kids.size(); ++k) {
+        weight *= message[static_cast<size_t>(kids[k])][child_sep[k][row]];
         if (weight == 0.0) break;
       }
       if (weight == 0.0) continue;
-      if (parent[static_cast<size_t>(v)] >= 0) {
-        message[static_cast<size_t>(v)][PackTupleKey(tuple, up_pos)] += weight;
+      if (up_sep != nullptr) {
+        message[v][up_sep[row]] += weight;
       } else {
         total += weight;
       }
     }
-    if (parent[static_cast<size_t>(v)] < 0) report.join_rows = total;
-    for (int c : children[static_cast<size_t>(v)]) {
-      message[static_cast<size_t>(c)].clear();  // release as we go
+    if (parent[v] < 0) report.join_rows = total;
+    for (int c : kids) {
+      message[static_cast<size_t>(c)] = {};  // release as we go
     }
   }
 
   // Spurious rate vs the distinct original rows (the join has set
   // semantics; exact decompositions land at E = 0).
   const double original_distinct =
-      static_cast<double>(Project(relation, universe).tuples.size());
+      static_cast<double>(labels->Of(universe).NumDistinct());
   if (report.join_rows > 0.0) {
     const double spurious = report.join_rows - original_distinct;
     report.spurious_pct =

@@ -4,7 +4,10 @@
 // E, and the information-theoretic distance J of a decomposition. The join
 // size behind E is computed exactly with the acyclic-join counting DP over
 // the schema's join tree (maximum-overlap spanning tree) — no join is ever
-// materialized, so wide/near-product schemas stay cheap to score.
+// materialized, so wide/near-product schemas stay cheap to score. S, E and
+// the DP read only integer row labels (join/row_labels.h); the counting DP
+// calls nothing in decomp/, so it stays an independent oracle for the
+// materialized join there.
 
 #ifndef MAIMON_JOIN_METRICS_H_
 #define MAIMON_JOIN_METRICS_H_
@@ -12,6 +15,7 @@
 #include "core/schema.h"
 #include "data/relation.h"
 #include "entropy/info_calc.h"
+#include "join/row_labels.h"
 
 namespace maimon {
 
@@ -32,6 +36,14 @@ struct SchemaReport {
 
 SchemaReport EvaluateSchema(const Relation& relation, const Schema& schema,
                             const InfoCalc& oracle);
+
+/// The same report over `labels->relation()`, reading (and adding to) a
+/// label memo shared across schemas, so each distinct relation, separator
+/// and universe is labeled once per memo rather than once per schema. The
+/// report is bit-identical to the overload above: the DP adds the same
+/// terms in the same order whichever memo supplied the labels.
+SchemaReport EvaluateSchema(const Schema& schema, const InfoCalc& oracle,
+                            RowLabelMemo* labels);
 
 }  // namespace maimon
 

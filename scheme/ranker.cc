@@ -55,12 +55,12 @@ bool Better(const Scored& a, const Scored& b, RankKey primary) {
   return a.canonical < b.canonical;
 }
 
-Scored ScoreOne(const Relation& relation, const MinedSchema& s,
-                const InfoCalc& oracle) {
+Scored ScoreOne(const MinedSchema& s, const InfoCalc& oracle,
+                RowLabelMemo* labels) {
   RankedScheme ranked;
   ranked.schema = s.schema;
   ranked.derivation_j = s.j_measure;
-  ranked.report = EvaluateSchema(relation, s.schema, oracle);
+  ranked.report = EvaluateSchema(s.schema, oracle, labels);
   return {std::move(ranked), s.schema.ToString()};
 }
 
@@ -83,6 +83,10 @@ RankResult RankSchemes(const Relation& relation,
   // counter and every claimed index runs to completion before it returns.
   std::vector<Scored> scored_by_index(schemes.size());
   std::vector<unsigned char> done(schemes.size(), 0);
+  // One label memo for the whole call, shared by every worker: schemes
+  // mined from one relation share most relations, separators and the
+  // universe, so each distinct set is labeled once. Freed on return.
+  RowLabelMemo labels(relation);
 
   const int threads = std::min<int>(
       ResolveNumThreads(options.num_threads),
@@ -100,8 +104,9 @@ RankResult RankSchemes(const Relation& relation,
                               obs::Span span(options.sink, "rank.score");
                               span.Arg("scheme", i);
                               scored_by_index[i] = ScoreOne(
-                                  relation, schemes[i],
-                                  *shards[static_cast<size_t>(shard)].calc);
+                                  schemes[i],
+                                  *shards[static_cast<size_t>(shard)].calc,
+                                  &labels);
                               done[i] = 1;
                             })
                     .completed;
@@ -112,7 +117,7 @@ RankResult RankSchemes(const Relation& relation,
                               obs::Span span(options.sink, "rank.score");
                               span.Arg("scheme", i);
                               scored_by_index[i] =
-                                  ScoreOne(relation, schemes[i], oracle);
+                                  ScoreOne(schemes[i], oracle, &labels);
                               done[i] = 1;
                             })
                     .completed;
@@ -129,6 +134,7 @@ RankResult RankSchemes(const Relation& relation,
   result.evaluated = scored.size();
   // Counted once from the deterministic collection loop, not per worker.
   obs::Count(options.sink, "rank.scored", result.evaluated);
+  obs::Count(options.sink, "rank.labelings", labels.NumLabeled());
   rank_span.Arg("evaluated", result.evaluated);
 
   const RankKey primary = options.primary;

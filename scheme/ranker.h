@@ -5,7 +5,9 @@
 // materialization) and return the top-k under a configurable primary key.
 // Scoring a scheme is the expensive step (a counting DP over its join
 // tree), so ranking is deadline-bounded: on expiry the schemes scored so
-// far are ranked and returned with kDeadlineExceeded.
+// far are ranked and returned with kDeadlineExceeded. One call labels each
+// distinct attribute set of its schemes once (join/row_labels.h) and frees
+// the labels on return.
 
 #ifndef MAIMON_SCHEME_RANKER_H_
 #define MAIMON_SCHEME_RANKER_H_
@@ -40,7 +42,10 @@ struct RankerOptions {
   /// oracle's engine is not a PliEntropyEngine (nothing to fork).
   int num_threads = 1;
   /// Observability sink (nullable): a `rank.schemes` span over the sweep,
-  /// one `rank.score` span per scheme, and a `rank.scored` counter.
+  /// one `rank.score` span per scheme, a `rank.scored` counter, and a
+  /// `rank.labelings` counter (distinct attribute sets row-labeled in the
+  /// call: the scored schemes' relations, join-tree separators and
+  /// universes, each once — the workers share one memo).
   obs::Sink* sink = nullptr;
 };
 

@@ -98,6 +98,18 @@ storectl_out="${build_dir}/check_smoke.maimon"
 "${build_dir}/storectl" pack --out="${storectl_out}" --budget=5
 "${build_dir}/storectl" inspect "${storectl_out}"
 rm -f "${storectl_out}"
+# Malformed numeric flags exit 2 before anything is mined or written: never
+# read as their numeric prefix, as 0 (an unbounded budget) or as a wrapped
+# count.
+for bad in --eps=abc --eps=0.3x --budget=xyz --max-schemas=-1; do
+  code=0
+  "${build_dir}/storectl" pack --out="${storectl_out}" "${bad}" \
+    2>/dev/null || code=$?
+  if [[ ${code} -ne 2 || -e "${storectl_out}" ]]; then
+    echo "storectl pack ${bad}: exit ${code}, expected 2 and no file" >&2
+    exit 1
+  fi
+done
 
 if [[ -x "${build_dir}/bench_entropy_engine" ]]; then
   echo "--- smoke: bench_entropy_engine ---"

@@ -4,12 +4,12 @@
 //
 //   * planted bag chains at eps = 0 reconstruct the original relation
 //     exactly — zero spurious tuples, join == r under set semantics;
-//   * on every <= 10-attribute fixture (clean bag chains, noisy variants,
-//     a Nursery sample) and every mined top-k scheme, the materialized
-//     Yannakakis |join| equals SchemaReport::join_rows from the analytic
-//     counting DP exactly — the two counts come from independent code
-//     paths, so this differential is the system's strongest correctness
-//     oracle;
+//   * on every <= 12-attribute fixture (clean bag chains, noisy variants,
+//     a Nursery sample) and every mined scheme the ranker scored, the
+//     materialized Yannakakis |join| equals SchemaReport::join_rows from
+//     the analytic counting DP exactly — the two counts come from
+//     independent code paths, so this differential is the system's
+//     strongest correctness oracle;
 //   * join ⊇ r holds at any eps (hard invariant);
 //   * the projection store's accounting reproduces the analytic savings S;
 //   * deadline expiry mid-join returns a partial audit with
@@ -24,6 +24,7 @@
 #include "data/planted.h"
 #include "decomp/projection_store.h"
 #include "decomp/yannakakis.h"
+#include "join/join_tree.h"
 #include "scheme/assembler.h"
 #include "scheme/ranker.h"
 #include "tests/test_util.h"
@@ -97,10 +98,14 @@ TEST_CASE(PlantedBagChainAtEpsZeroReconstructsExactly) {
 }
 
 TEST_CASE(EveryMinedTopKSchemeMatchesTheCountingDp) {
-  // The acceptance differential: <= 10-attribute fixtures — clean bag
+  // The acceptance differential: <= 12-attribute fixtures — clean bag
   // chains, noisy variants, and a Nursery sample — mined end to end; every
-  // ranked scheme's materialized |join| must equal the analytic DP count
-  // exactly, and join ⊇ r must hold at every eps.
+  // scheme the ranker scored (k = all of them) must have a materialized
+  // |join| equal to the analytic DP count exactly, and join ⊇ r must hold
+  // at every eps. The audit's join and distinct sweep share no code with
+  // join/metrics.cc, so this is the DP's oracle; the 4-bag 12-attribute
+  // fixture adds schemes whose join tree branches, where a node multiplies
+  // the messages of two or more children.
   struct Fixture {
     Relation relation;
     double eps;
@@ -111,7 +116,9 @@ TEST_CASE(EveryMinedTopKSchemeMatchesTheCountingDp) {
   fixtures.push_back({MakePlanted(8, 3, 11, /*noise=*/0.02).relation, 0.1});
   fixtures.push_back({MakePlanted(9, 2, 13, /*noise=*/0.1).relation, 0.2});
   fixtures.push_back({NurseryDataset().SampleRows(0.05, 3), 0.3});
+  fixtures.push_back({MakePlanted(12, 4, 17, /*noise=*/0.02).relation, 0.1});
 
+  size_t branching = 0;  // audited schemes with a node of >= 2 children
   for (const Fixture& fixture : fixtures) {
     MaimonConfig config;
     config.epsilon = fixture.eps;
@@ -124,11 +131,19 @@ TEST_CASE(EveryMinedTopKSchemeMatchesTheCountingDp) {
     CHECK(!schemas.schemas.empty());
 
     RankerOptions rank;
-    rank.top_k = 8;
+    rank.top_k = schemas.schemas.size();
     const RankResult ranked = RankSchemes(fixture.relation, schemas.schemas,
                                           maimon.oracle(), rank);
-    CHECK(!ranked.ranked.empty());
+    CHECK(ranked.status.ok());
+    CHECK_EQ(ranked.ranked.size(), schemas.schemas.size());
     for (const RankedScheme& s : ranked.ranked) {
+      const JoinTree tree = BuildMaxOverlapJoinTree(s.schema.Relations());
+      const auto branches = [](const std::vector<int>& c) {
+        return c.size() >= 2;
+      };
+      if (std::any_of(tree.children.begin(), tree.children.end(), branches)) {
+        ++branching;
+      }
       const MinedSchema mined{s.schema, s.report.j_measure};
       const DecompositionAudit audit = maimon.DecomposeAndAudit(mined);
       CHECK(audit.status.ok());
@@ -145,6 +160,7 @@ TEST_CASE(EveryMinedTopKSchemeMatchesTheCountingDp) {
       }
     }
   }
+  CHECK(branching > 0);
 }
 
 TEST_CASE(MaterializedJoinIsTheStreamedCountAndASupersetOfR) {

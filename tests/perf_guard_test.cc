@@ -18,12 +18,17 @@
 //     land inside MineOnePair and the pair grid in the first place;
 //   * store/ cold start: mmap-loading a canonical store file must beat the
 //     CSV import + projection rebuild it replaces by >= 10x on a
-//     Nursery-scale fixture.
+//     Nursery-scale fixture;
+//   * scheme ranking labels each distinct attribute set of its schemes
+//     once per call (the `rank.labelings` counter, an exact work count at
+//     1 and 4 threads), not once per scheme — the property the ranking
+//     layer's cost rests on.
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -33,7 +38,9 @@
 #include "decomp/projection_store.h"
 #include "entropy/naive_engine.h"
 #include "entropy/pli_engine.h"
+#include "join/join_tree.h"
 #include "obs/trace.h"
+#include "scheme/ranker.h"
 #include "store/mapped_store.h"
 #include "store/writer.h"
 #include "tests/test_util.h"
@@ -264,6 +271,62 @@ TEST_CASE(EightThreadMiningKeepsTheSingleThreadHitRate) {
   // partitions heavily, so a cold-running cache would fail this outright.
   CHECK(one >= 0.5);
   CHECK(eight >= 0.5);
+}
+
+TEST_CASE(RankingLabelsEachAttributeSetOncePerCall) {
+  PlantedSpec spec;
+  spec.num_attrs = 12;
+  spec.num_bags = 4;
+  spec.root_rows = 512;
+  spec.max_rows = 2048;
+  spec.noise_fraction = 0.02;
+  spec.domain_size = 8;
+  spec.seed = 1;
+  const Relation r = GeneratePlanted(spec).relation;
+  MaimonConfig config;
+  config.epsilon = 0.1;
+  config.schemas.max_schemas = 64;
+  Maimon maimon(r, config);
+  const AsMinerResult mined = maimon.MineSchemas();
+  CHECK(mined.schemas.size() > 1);
+
+  // The sets the scoring DP reads: every relation, every join-tree
+  // separator and the universe — distinct across the whole call, and
+  // summed per scheme (what labeling inside each scheme would cost).
+  std::set<uint64_t> distinct;
+  size_t per_scheme = 0;
+  for (const MinedSchema& s : mined.schemas) {
+    const std::vector<AttrSet>& rels = s.schema.Relations();
+    const JoinTree tree = BuildMaxOverlapJoinTree(rels);
+    std::set<uint64_t> sets = {s.schema.UniverseAttrs().bits()};
+    for (size_t v = 0; v < rels.size(); ++v) {
+      sets.insert(rels[v].bits());
+      if (tree.parent[v] >= 0) {
+        sets.insert(
+            rels[v].Intersect(rels[static_cast<size_t>(tree.parent[v])])
+                .bits());
+      }
+    }
+    per_scheme += sets.size();
+    distinct.insert(sets.begin(), sets.end());
+  }
+  std::printf("  ranking %zu schemes: %zu distinct sets, %zu per-scheme\n",
+              mined.schemas.size(), distinct.size(), per_scheme);
+  CHECK(distinct.size() < per_scheme);
+
+  for (int threads : {1, 4}) {
+    obs::Sink sink;
+    RankerOptions options;
+    options.num_threads = threads;
+    options.sink = &sink;
+    const RankResult ranked =
+        RankSchemes(r, mined.schemas, maimon.oracle(), options);
+    CHECK(ranked.status.ok());
+    CHECK_EQ(ranked.evaluated, mined.schemas.size());
+    // Exact: the workers share one memo, so no set is labeled twice.
+    CHECK_EQ(sink.SnapshotMetrics().counter("rank.labelings"),
+             static_cast<uint64_t>(distinct.size()));
+  }
 }
 
 }  // namespace
