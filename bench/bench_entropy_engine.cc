@@ -21,6 +21,7 @@
 #include <memory>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "data/planted.h"
 #include "entropy/naive_engine.h"
 #include "entropy/pli_engine.h"
@@ -256,17 +257,30 @@ int RunHitRateMode(int cols, int rows, int num_queries) {
 }  // namespace maimon
 
 int main(int argc, char** argv) {
+  using maimon::bench::CountFlag;
   int cols = 12, rows = 16384, queries = 2048;
   bool hitrate = false;
+  // The hit-rate flags are read strictly (exit 2 when malformed; --cols
+  // stays below 64 because QueryMix shifts by it); every other argument
+  // goes on to google-benchmark.
+  std::vector<char*> rest = {argv[0]};
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--hitrate") == 0) hitrate = true;
-    std::sscanf(argv[i], "--cols=%d", &cols);
-    std::sscanf(argv[i], "--rows=%d", &rows);
-    std::sscanf(argv[i], "--queries=%d", &queries);
+    if (std::strcmp(argv[i], "--hitrate") == 0) {
+      hitrate = true;
+    } else if (CountFlag(argv[i], "--cols=", &cols, 1,
+                         maimon::AttrSet::kMaxAttrs - 1) ||
+               CountFlag(argv[i], "--rows=", &rows) ||
+               CountFlag(argv[i], "--queries=", &queries)) {
+    } else {
+      rest.push_back(argv[i]);
+    }
   }
   if (hitrate) return maimon::RunHitRateMode(cols, rows, queries);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  int rest_argc = static_cast<int>(rest.size());
+  benchmark::Initialize(&rest_argc, rest.data());
+  if (benchmark::ReportUnrecognizedArguments(rest_argc, rest.data())) {
+    return 1;
+  }
   benchmark::RunSpecifiedBenchmarks();
   return 0;
 }

@@ -103,12 +103,14 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string metrics_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--budget=", 9) == 0) {
-      budget = std::atof(argv[i] + 9);
-    } else if (std::strncmp(argv[i], "--max-schemas=", 14) == 0) {
-      max_schemas = static_cast<size_t>(std::atoll(argv[i] + 14));
+    if (maimon::bench::SecondsFlag(argv[i], "--budget=", &budget)) {
+    } else if (maimon::bench::CountFlag(argv[i], "--max-schemas=",
+                                        &max_schemas)) {
     } else if (maimon::bench::ParseObsFlag(argv[i], &trace_path,
                                            &metrics_path)) {
+    } else {
+      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+      return 2;
     }
   }
   maimon::bench::Run(budget, max_schemas, trace_path, metrics_path);

@@ -65,13 +65,14 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string metrics_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--rows=", 7) == 0) {
-      row_cap = static_cast<size_t>(std::atoll(argv[i] + 7));
-    } else if (std::strncmp(argv[i], "--budget=", 9) == 0) {
-      budget = std::atof(argv[i] + 9);
+    if (maimon::bench::CountFlag(argv[i], "--rows=", &row_cap)) {
+    } else if (maimon::bench::SecondsFlag(argv[i], "--budget=", &budget)) {
     } else if (maimon::bench::ParseThreadsFlag(argv[i], &num_threads)) {
     } else if (maimon::bench::ParseObsFlag(argv[i], &trace_path,
                                            &metrics_path)) {
+    } else {
+      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+      return 2;
     }
   }
   maimon::bench::Run(row_cap, budget, num_threads, trace_path, metrics_path);

@@ -121,14 +121,16 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string metrics_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--attrs=", 8) == 0) {
-      n = std::atoi(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--eps=", 6) == 0) {
-      eps = std::atof(argv[i] + 6);
-    } else if (std::strncmp(argv[i], "--budget=", 9) == 0) {
-      budget = std::atof(argv[i] + 9);
+    // At least 2: a random trial key draws up to two distinct attributes.
+    if (maimon::bench::CountFlag(argv[i], "--attrs=", &n, 2,
+                                 maimon::AttrSet::kMaxAttrs)) {
+    } else if (maimon::bench::EpsFlag(argv[i], &eps)) {
+    } else if (maimon::bench::SecondsFlag(argv[i], "--budget=", &budget)) {
     } else if (maimon::bench::ParseObsFlag(argv[i], &trace_path,
                                            &metrics_path)) {
+    } else {
+      std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+      return 2;
     }
   }
   maimon::bench::Run(n, eps, budget, trace_path, metrics_path);

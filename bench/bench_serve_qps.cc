@@ -322,10 +322,9 @@ int main(int argc, char** argv) {
   std::string trace_path;
   std::string metrics_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--queries=", 10) == 0) {
-      total_queries = static_cast<size_t>(std::atoll(argv[i] + 10));
-    } else if (std::strncmp(argv[i], "--mine-budget=", 14) == 0) {
-      mine_budget = std::atof(argv[i] + 14);
+    if (maimon::bench::CountFlag(argv[i], "--queries=", &total_queries)) {
+    } else if (maimon::bench::SecondsFlag(argv[i], "--mine-budget=",
+                                          &mine_budget)) {
     } else if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
     } else if (maimon::bench::ParseObsFlag(argv[i], &trace_path,

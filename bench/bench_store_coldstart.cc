@@ -170,8 +170,7 @@ int Run(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
-    } else if (std::strncmp(argv[i], "--trials=", 9) == 0) {
-      trials = std::max(1, std::atoi(argv[i] + 9));
+    } else if (CountFlag(argv[i], "--trials=", &trials)) {
     } else if (ParseObsFlag(argv[i], &trace_path, &metrics_path)) {
     } else {
       std::fprintf(stderr, "unknown argument: %s\n", argv[i]);

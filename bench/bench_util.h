@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -96,6 +97,62 @@ inline bool ParseObsFlag(const char* arg, std::string* trace_path,
     return true;
   }
   return false;
+}
+
+/// Strict numeric flags for every harness and storectl. Each reader
+/// returns false when `arg` is another flag; when it is this one, a value
+/// that is malformed or out of range ends the process with exit code 2, so
+/// a run never proceeds on a value read as its numeric prefix, as 0 (an
+/// unbounded budget) or as a wrapped count.
+[[noreturn]] inline void RejectFlag(const char* arg, const std::string& want) {
+  std::fprintf(stderr, "%s: expected %s\n", arg, want.c_str());
+  std::exit(2);
+}
+
+/// The text after `prefix` when `arg` starts with it, else nullptr.
+inline const char* FlagValue(const char* arg, const char* prefix) {
+  const size_t n = std::strlen(prefix);
+  return std::strncmp(arg, prefix, n) == 0 ? arg + n : nullptr;
+}
+
+/// `prefix`S with S a finite number of seconds > 0.
+inline bool SecondsFlag(const char* arg, const char* prefix, double* out) {
+  const char* text = FlagValue(arg, prefix);
+  if (text == nullptr) return false;
+  if (!ParseDouble(text, out) || *out <= 0) {
+    RejectFlag(arg, "a finite number of seconds > 0");
+  }
+  return true;
+}
+
+/// --eps=E with E a finite number >= 0.
+inline bool EpsFlag(const char* arg, double* out) {
+  const char* text = FlagValue(arg, "--eps=");
+  if (text == nullptr) return false;
+  if (!ParseDouble(text, out) || *out < 0) {
+    RejectFlag(arg, "a finite number >= 0");
+  }
+  return true;
+}
+
+/// `prefix`N with N an integer in [lo, hi] (hi defaults to what `Int`
+/// holds).
+template <typename Int>
+bool CountFlag(const char* arg, const char* prefix, Int* out, size_t lo = 1,
+               size_t hi = static_cast<size_t>(
+                   std::numeric_limits<Int>::max())) {
+  const char* text = FlagValue(arg, prefix);
+  if (text == nullptr) return false;
+  size_t value = 0;
+  if (!ParseCount(text, &value) || value < lo || value > hi) {
+    std::string want = "an integer >= " + std::to_string(lo);
+    if (hi < std::numeric_limits<size_t>::max()) {
+      want += " and <= " + std::to_string(hi);
+    }
+    RejectFlag(arg, want);
+  }
+  *out = static_cast<Int>(value);
+  return true;
 }
 
 /// Folds an engine's counters into the sink (under a `cache.fold` span so
@@ -351,28 +408,14 @@ inline void PrintSchemeRunJsonRow(int fig, const std::string& dataset,
   std::fflush(stdout);
 }
 
-/// Shared --threads=N / -tN flag parsing for the figure harnesses.
-/// Returns true when `arg` was a *well-formed* thread flag (and sets
-/// *num_threads to its non-negative value). A malformed count ("-tx",
-/// "--threads=-2") is rejected — the caller keeps its default instead of
-/// atoi's silent 0 (= all hardware threads).
+/// Shared --threads=N / -tN flag parsing for the figure harnesses, strict
+/// like CountFlag: returns false when `arg` is another flag, and exits 2 on
+/// a malformed count rather than reading it as 0 (= all hardware threads).
 inline bool ParseThreadsFlag(const char* arg, int* num_threads) {
-  const char* digits = nullptr;
-  if (std::strncmp(arg, "--threads=", 10) == 0) {
-    digits = arg + 10;
-  } else if (std::strncmp(arg, "-t", 2) == 0 && arg[2] != '\0') {
-    digits = arg + 2;
-  } else {
-    return false;
+  if (std::strncmp(arg, "-t", 2) == 0 && arg[2] != '\0') {
+    return CountFlag(arg, "-t", num_threads, 0, 1 << 20);
   }
-  char* end = nullptr;
-  const long value = std::strtol(digits, &end, 10);
-  if (end == digits || *end != '\0' || value < 0 || value > 1 << 20) {
-    std::fprintf(stderr, "ignoring malformed thread count: %s\n", arg);
-    return false;
-  }
-  *num_threads = static_cast<int>(value);
-  return true;
+  return CountFlag(arg, "--threads=", num_threads, 0, 1 << 20);
 }
 
 /// Shared knob set + argv parsing for the separator harnesses: --rows=N,
@@ -396,10 +439,8 @@ inline MinSepsHarnessFlags ParseMinSepsHarnessFlags(int argc, char** argv,
   MinSepsHarnessFlags flags;
   flags.row_cap = default_row_cap;
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--rows=", 7) == 0) {
-      flags.row_cap = static_cast<size_t>(std::atoll(argv[i] + 7));
-    } else if (std::strncmp(argv[i], "--budget=", 9) == 0) {
-      flags.budget = std::atof(argv[i] + 9);
+    if (CountFlag(argv[i], "--rows=", &flags.row_cap)) {
+    } else if (SecondsFlag(argv[i], "--budget=", &flags.budget)) {
     } else if (std::strcmp(argv[i], "--exhaustive") == 0) {
       flags.options.exhaustive = true;
     } else if (std::strcmp(argv[i], "--json") == 0) {

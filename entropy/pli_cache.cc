@@ -27,23 +27,11 @@ bool PliCache::TryReserve(size_t cost) {
   }
 }
 
-bool PliCache::TryReserveValue() {
-  const size_t quota = capacity_bytes_ / 8;
-  size_t cur = value_bytes_.load(std::memory_order_relaxed);
-  for (;;) {
-    if (cur + kValueEntryBytes > quota) return false;
-    if (value_bytes_.compare_exchange_weak(cur, cur + kValueEntryBytes,
-                                           std::memory_order_relaxed)) {
-      return true;
-    }
-  }
-}
-
 PliCache::PartitionRef PliCache::Get(AttrSet key, Stats* stats) {
   Stripe& s = StripeFor(key);
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.index.find(key);
-  if (it == s.index.end() || it->second->partition == nullptr) {
+  if (it == s.index.end()) {
     if (stats != nullptr) ++stats->misses;
     return nullptr;
   }
@@ -55,17 +43,14 @@ PliCache::PartitionRef PliCache::Get(AttrSet key, Stats* stats) {
 bool PliCache::Contains(AttrSet key) const {
   const Stripe& s = StripeFor(key);
   std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.index.find(key);
-  return it != s.index.end() && it->second->partition != nullptr;
+  return s.index.count(key) != 0;
 }
 
-PliCache::PartitionRef PliCache::Touch(AttrSet key) {
+void PliCache::Touch(AttrSet key) {
   Stripe& s = StripeFor(key);
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.index.find(key);
-  if (it == s.index.end() || it->second->partition == nullptr) return nullptr;
-  s.lru.splice(s.lru.begin(), s.lru, it->second);
-  return it->second->partition;
+  if (it != s.index.end()) s.lru.splice(s.lru.begin(), s.lru, it->second);
 }
 
 void PliCache::IndexKey(Stripe& s, AttrSet key) {
@@ -137,26 +122,19 @@ PliCache::PartitionRef PliCache::Put(AttrSet key, StrippedPartition partition,
   if (cost > capacity_bytes_) return nullptr;
   auto ref = std::make_shared<const StrippedPartition>(std::move(partition));
 
-  // Phase 0: detach any existing entry for the key (a refresh, or a
-  // memo-only entry about to be upgraded) so its bytes are returned before
-  // we reserve the new cost. The memoized value, if any, survives. Not an
-  // eviction: the key's data is being replaced, not dropped.
-  double saved_entropy = 0.0;
-  bool saved_has_entropy = false;
+  // Phase 0: detach any existing entry for the key (a refresh) so its
+  // bytes are returned before we reserve the new cost. Not an eviction:
+  // the key's data is being replaced, not dropped.
   bool refresh = false;  // replacing a resident partition is not an insert
   {
     Stripe& s = StripeFor(key);
     std::lock_guard<std::mutex> lock(s.mu);
     auto it = s.index.find(key);
     if (it != s.index.end()) {
-      Entry& e = *it->second;
-      saved_entropy = e.entropy;
-      saved_has_entropy = e.has_entropy;
-      refresh = e.partition != nullptr;
-      Release(e.cost);
-      if (e.partition == nullptr) ReleaseValue();
-      if (e.partition != nullptr) UnindexKey(s, key);
-      (e.partition != nullptr ? s.lru : s.value_lru).erase(it->second);
+      refresh = true;
+      Release(it->second->cost);
+      UnindexKey(s, key);
+      s.lru.erase(it->second);
       s.index.erase(it);
     }
   }
@@ -179,98 +157,15 @@ PliCache::PartitionRef PliCache::Put(AttrSet key, StrippedPartition partition,
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.index.find(key);
   if (it != s.index.end()) {
-    Entry& e = *it->second;
-    if (e.partition != nullptr) {
-      Release(cost);
-      if (saved_has_entropy && !e.has_entropy) {
-        e.entropy = saved_entropy;
-        e.has_entropy = true;
-      }
-      s.lru.splice(s.lru.begin(), s.lru, it->second);
-      return e.partition;
-    }
-    // A racing PutEntropy created a value-only entry: absorb its memo and
-    // upgrade it to a partition entry (below).
-    if (!saved_has_entropy && e.has_entropy) {
-      saved_entropy = e.entropy;
-      saved_has_entropy = true;
-    }
-    Release(e.cost);
-    ReleaseValue();
-    s.value_lru.erase(it->second);
-    s.index.erase(it);
+    Release(cost);
+    s.lru.splice(s.lru.begin(), s.lru, it->second);
+    return it->second->partition;
   }
-  s.lru.push_front(Entry{key, ref, cost, saved_entropy, saved_has_entropy});
+  s.lru.push_front(Entry{key, ref, cost});
   s.index[key] = s.lru.begin();
   IndexKey(s, key);
   if (stats != nullptr && !refresh) ++stats->insertions;
   return ref;
-}
-
-void PliCache::PutEntropy(AttrSet key, double entropy, Stats* stats) {
-  {
-    Stripe& s = StripeFor(key);
-    std::lock_guard<std::mutex> lock(s.mu);
-    auto it = s.index.find(key);
-    if (it != s.index.end()) {
-      Entry& e = *it->second;
-      e.entropy = entropy;
-      e.has_entropy = true;
-      if (e.partition != nullptr) {
-        s.lru.splice(s.lru.begin(), s.lru, it->second);
-      } else {
-        s.value_lru.splice(s.value_lru.begin(), s.value_lru, it->second);
-      }
-      return;
-    }
-  }
-  if (kValueEntryBytes > capacity_bytes_ / 8) return;
-  // Reserve both the total budget and the segment quota, recycling only
-  // memo entries; when partitions fill the cache, skip the memo instead —
-  // a memo insert never displaces a resident partition.
-  for (;;) {
-    if (!TryReserve(kValueEntryBytes)) {
-      if (!EvictSomeValueEntry(stats)) return;
-      continue;
-    }
-    if (!TryReserveValue()) {
-      Release(kValueEntryBytes);
-      if (!EvictSomeValueEntry(stats)) return;
-      continue;
-    }
-    break;
-  }
-  Stripe& s = StripeFor(key);
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.index.find(key);
-  if (it != s.index.end()) {
-    // Racer inserted the key meanwhile; attach the memo there instead.
-    Entry& e = *it->second;
-    e.entropy = entropy;
-    e.has_entropy = true;
-    Release(kValueEntryBytes);
-    ReleaseValue();
-    return;
-  }
-  s.value_lru.push_front(
-      Entry{key, nullptr, kValueEntryBytes, entropy, true});
-  s.index[key] = s.value_lru.begin();
-  if (stats != nullptr) ++stats->value_insertions;
-}
-
-bool PliCache::GetEntropy(AttrSet key, double* entropy) {
-  Stripe& s = StripeFor(key);
-  std::lock_guard<std::mutex> lock(s.mu);
-  auto it = s.index.find(key);
-  if (it == s.index.end() || !it->second->has_entropy) return false;
-  Entry& e = *it->second;
-  if (e.partition != nullptr) {
-    s.lru.splice(s.lru.begin(), s.lru, it->second);
-  } else {
-    s.value_lru.splice(s.value_lru.begin(), s.value_lru, it->second);
-  }
-  *entropy = e.entropy;
-  return true;
 }
 
 bool PliCache::EvictSomething(Stats* stats) {
@@ -280,48 +175,12 @@ bool PliCache::EvictSomething(Stats* stats) {
     Stripe& s = stripes_[(start + i) % n];
     std::lock_guard<std::mutex> lock(s.mu);
     if (s.lru.empty()) continue;
-    Entry& victim = s.lru.back();
-    const size_t freed = victim.cost;
-    Release(freed);
+    const Entry& victim = s.lru.back();
+    Release(victim.cost);
     if (stats != nullptr) ++stats->evictions;
-    // Downgrade to a value-only memo entry when it actually frees memory:
-    // the memo costs kValueEntryBytes to keep and a full intersection
-    // chain to recompute. Re-reserving after the release keeps the budget
-    // invariant; if the segment quota (or a racing reservation) refuses,
-    // the memo is dropped with the partition.
-    // Either way the key leaves the partition set — and the subset index.
     UnindexKey(s, victim.key);
-    if (victim.has_entropy && freed > kValueEntryBytes &&
-        TryReserve(kValueEntryBytes)) {
-      if (TryReserveValue()) {
-        victim.partition = nullptr;
-        victim.cost = kValueEntryBytes;
-        s.value_lru.splice(s.value_lru.begin(), s.lru,
-                           std::prev(s.lru.end()));
-        return true;
-      }
-      Release(kValueEntryBytes);
-    }
     s.index.erase(victim.key);
     s.lru.pop_back();
-    return true;
-  }
-  return EvictSomeValueEntry(stats);
-}
-
-bool PliCache::EvictSomeValueEntry(Stats* stats) {
-  const size_t n = stripes_.size();
-  const size_t start = evict_cursor_.fetch_add(1, std::memory_order_relaxed);
-  for (size_t i = 0; i < n; ++i) {
-    Stripe& s = stripes_[(start + i) % n];
-    std::lock_guard<std::mutex> lock(s.mu);
-    if (s.value_lru.empty()) continue;
-    Entry& victim = s.value_lru.back();
-    Release(victim.cost);
-    ReleaseValue();
-    s.index.erase(victim.key);
-    s.value_lru.pop_back();
-    if (stats != nullptr) ++stats->evictions;
     return true;
   }
   return false;

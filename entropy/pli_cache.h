@@ -5,20 +5,20 @@
 // every intersection chain; MVDMiner's query stream has heavy prefix
 // overlap (separator candidates differ in one or two attributes), which is
 // what makes this cache the difference between feasible and infeasible
-// mining.
+// mining. It holds partitions only: the exact H(X) value memo is
+// thread-confined state of each engine handle (pli_engine.h).
 //
 // One cache is shared by every engine handle forked from the same core —
 // there are no per-worker budget slices. Concurrency model:
 //
-//   * The index is striped: each stripe owns a mutex, a hash map, and two
-//     LRU lists (partitions + value-only memos). A key's stripe is fixed
-//     by its hash, so operations on distinct stripes never contend.
-//   * The byte budget is one global atomic pair (bytes_, value_bytes_).
-//     Inserts RESERVE bytes with a compare-exchange loop before
-//     publishing the entry, so `bytes <= capacity` holds at every instant
-//     — not just between operations. Reservation is lock-free; eviction
-//     locks one stripe at a time while holding no other lock, so the
-//     cache cannot deadlock.
+//   * The index is striped: each stripe owns a mutex, a hash map, and one
+//     LRU list. A key's stripe is fixed by its hash, so operations on
+//     distinct stripes never contend.
+//   * The byte budget is one global atomic (bytes_). Inserts RESERVE bytes
+//     with a compare-exchange loop before publishing the entry, so
+//     `bytes <= capacity` holds at every instant — not just between
+//     operations. Reservation is lock-free; eviction locks one stripe at a
+//     time while holding no other lock, so the cache cannot deadlock.
 //   * Eviction is LRU within a stripe and round-robin across stripes (an
 //     approximation of global LRU; with one stripe it IS global LRU, and
 //     the single-threaded invariant tests pin that case).
@@ -31,31 +31,20 @@
 //     contention, and folding them with AccumulateCounters reproduces the
 //     single-threaded totals exactly.
 //
-// Entries may additionally memoize the final H(X) value for their key
-// (PutEntropy/GetEntropy). A memo rides on a resident partition entry for
-// free; otherwise it lives in a value-only entry charged kValueEntryBytes
-// in its own small LRU segment, capped at 1/8 of the byte budget and
-// counted in the shared `bytes` gauge. A memo insert never displaces a
-// resident partition — partitions are the expensive asset. An evicted
-// partition that carries a memo downgrades to a value-only entry when the
-// segment has room, and partition inserts may shed memo entries when
-// nothing else fits — `bytes` never exceeds the budget, and the memo
-// cannot grow without bound on long mining runs.
-//
 // Each stripe additionally maintains a width-bucketed index of its
-// resident partition keys (bucket w = keys with w attributes), updated
-// under the stripe lock on insert, refresh, eviction, and downgrade. The
-// engine's best-cached-subset probe (BestSubset) scans the buckets in
-// descending width and stops at the first subset hit per stripe, so a
-// cache miss costs O(candidates actually examined) instead of a full
-// O(#residents) key walk per query — the probe used to be the dominant
-// per-miss constant under stripe locks.
+// resident keys (bucket w = keys with w attributes), updated under the
+// stripe lock on insert, refresh and eviction. The engine's
+// best-cached-subset probe (BestSubset) scans the buckets in descending
+// width and stops at the first subset hit per stripe, so a cache miss
+// costs O(candidates actually examined) instead of a full O(#residents)
+// key walk per query.
 //
-// Determinism note: sharing partitions and memos across threads is safe
-// for the thread-count-invariance contract because H(X) is a pure
-// function of the partition (StrippedPartition::Entropy sums in canonical
-// ascending-group-size order), so a value computed by any worker is
-// bit-identical to the value every other worker would compute.
+// Determinism note: sharing partitions across threads is safe for the
+// thread-count-invariance contract because H(X) is a pure function of the
+// partition (StrippedPartition::Entropy sums in canonical
+// ascending-group-size order), so a value computed from any worker's
+// partition is bit-identical to the value every other worker would
+// compute.
 
 #ifndef MAIMON_ENTROPY_PLI_CACHE_H_
 #define MAIMON_ENTROPY_PLI_CACHE_H_
@@ -85,8 +74,7 @@ class PliCache {
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
-    uint64_t insertions = 0;        // partition entries inserted
-    uint64_t value_insertions = 0;  // value-only memo entries inserted
+    uint64_t insertions = 0;  // partition entries inserted
     uint64_t evictions = 0;
     size_t bytes = 0;  // resident-byte gauge; set from bytes(), never summed
 
@@ -98,14 +86,9 @@ class PliCache {
       hits += other.hits;
       misses += other.misses;
       insertions += other.insertions;
-      value_insertions += other.value_insertions;
       evictions += other.evictions;
     }
   };
-
-  /// Byte charge of a value-only entropy memo entry: the Entry struct
-  /// plus the std::list node and unordered_map node overhead.
-  static constexpr size_t kValueEntryBytes = 192;
 
   /// `num_stripes <= 0` picks the default (16). Use 1 stripe to get exact
   /// global LRU order (the single-threaded tests do).
@@ -115,18 +98,12 @@ class PliCache {
   PliCache& operator=(const PliCache&) = delete;
 
   /// Looks up the partition for `key`, promoting the entry to
-  /// most-recently-used in its stripe. Counts a hit or a miss into `stats`
-  /// (a value-only memo entry is a partition miss). Returns an empty ref
-  /// on miss.
+  /// most-recently-used in its stripe. Counts a hit or a miss into `stats`.
+  /// Returns an empty ref on miss.
   PartitionRef Get(AttrSet key, Stats* stats);
 
-  /// True iff a partition (not just a memoized value) is resident for `key`.
+  /// True iff a partition is resident for `key`.
   bool Contains(AttrSet key) const;
-
-  /// Like Get, but without hit/miss accounting: for internal probes (e.g.
-  /// BestSubset promoting its winner) that would otherwise inflate the hit
-  /// rate. Still promotes to MRU.
-  PartitionRef Touch(AttrSet key);
 
   /// Widest resident partition whose key is a subset of `query` — the
   /// engine's intersection-chain starting point. Probes each stripe's
@@ -134,76 +111,43 @@ class PliCache {
   /// per stripe and skipping buckets no wider than the best found so far,
   /// so the cost is O(candidate keys examined), not O(residents). The
   /// winner is pinned under its stripe lock (no probe/pin race) and
-  /// promoted to MRU; like Touch, no hit/miss accounting. Returns an empty
-  /// ref with `*key` empty when no resident key applies. `candidates`
-  /// (nullable) is incremented by the number of keys examined — the
+  /// promoted to MRU; no hit/miss accounting. Returns an empty ref with
+  /// `*key` empty when no resident key applies. `candidates` (nullable) is
+  /// incremented by the number of keys examined — the
   /// `pli.subset_probe.candidates` counter.
   PartitionRef BestSubset(AttrSet query, AttrSet* key, uint64_t* candidates);
 
-  /// Inserts (or refreshes) the partition for `key`, preserving any
-  /// memoized entropy value on the entry. The partition is shrunk to fit
-  /// before being charged, so the budget reflects real residency. Evicts
-  /// least-recently-used entries until the byte budget holds — never the
-  /// entry being inserted; a partition larger than the whole budget is
-  /// rejected. Returns the resident partition (or, if another thread
-  /// raced the same key in first, that thread's identical copy); an empty
-  /// ref iff rejected.
+  /// Inserts (or refreshes) the partition for `key`. The partition is
+  /// shrunk to fit before being charged, so the budget reflects real
+  /// residency. Evicts least-recently-used entries until the byte budget
+  /// holds — never the entry being inserted; a partition larger than the
+  /// whole budget is rejected. Returns the resident partition (or, if
+  /// another thread raced the same key in first, that thread's identical
+  /// copy); an empty ref iff rejected.
   PartitionRef Put(AttrSet key, StrippedPartition partition, Stats* stats);
 
-  /// Memoizes H(key). Attaches to the resident entry when one exists (no
-  /// extra bytes beyond its current cost); otherwise inserts a value-only
-  /// entry into the memo segment, recycling that segment's LRU entry when
-  /// its 1/8-of-budget quota is full. Never evicts partition entries;
-  /// skips the memo when partitions fill the budget.
-  void PutEntropy(AttrSet key, double entropy, Stats* stats);
-
-  /// Looks up a memoized H(key), promoting the entry on success. Does not
-  /// touch the partition hit/miss counters (the engine tracks value hits).
-  bool GetEntropy(AttrSet key, double* entropy);
-
-  /// Visits every key with a resident partition (no LRU promotion, no hit
-  /// accounting). Holds one stripe lock at a time while visiting, so `fn`
-  /// must not call back into the cache. Test/introspection surface only —
-  /// the engine's subset probe goes through the width index (BestSubset),
-  /// never a full scan.
-  template <typename Fn>
-  void ForEachKey(Fn&& fn) const {
-    for (const Stripe& s : stripes_) {
-      std::lock_guard<std::mutex> lock(s.mu);
-      for (const Entry& e : s.lru) fn(e.key);
-    }
-  }
-
-  /// Resident entries (partitions + value-only memos) across all stripes.
+  /// Resident partitions across all stripes.
   size_t size() const;
   size_t capacity_bytes() const { return capacity_bytes_; }
   /// Resident bytes right now. With reservation-before-insert this never
   /// exceeds capacity_bytes(), even observed mid-operation from another
   /// thread.
   size_t bytes() const { return bytes_.load(std::memory_order_relaxed); }
-  /// Resident bytes of the value-only memo segment (<= capacity/8).
-  size_t value_bytes() const {
-    return value_bytes_.load(std::memory_order_relaxed);
-  }
   int num_stripes() const { return static_cast<int>(stripes_.size()); }
 
  private:
   struct Entry {
     AttrSet key;
-    PartitionRef partition;  // null for value-only memo entries
-    size_t cost = 0;         // bytes charged while resident
-    double entropy = 0.0;
-    bool has_entropy = false;
+    PartitionRef partition;
+    size_t cost = 0;  // bytes charged while resident
   };
   struct Stripe {
     mutable std::mutex mu;
-    std::list<Entry> lru;        // partition entries; front = MRU
-    std::list<Entry> value_lru;  // value-only memo entries; front = MRU
+    std::list<Entry> lru;  // front = MRU
     std::unordered_map<AttrSet, std::list<Entry>::iterator, AttrSetHash> index;
-    /// Width-bucketed resident partition keys: by_width[w] holds this
-    /// stripe's partition keys with w attributes (value-only memo entries
-    /// are never indexed). Maintained under `mu` by IndexKey/UnindexKey at
-    /// every insert/refresh/evict/downgrade; BestSubset scans descending.
+    /// Width-bucketed resident keys: by_width[w] holds this stripe's keys
+    /// with w attributes. Maintained under `mu` by IndexKey/UnindexKey at
+    /// every insert/refresh/evict; BestSubset scans descending.
     std::vector<std::vector<AttrSet>> by_width;
     int max_width = 0;  // highest non-empty bucket (0 = none resident)
   };
@@ -221,30 +165,23 @@ class PliCache {
     return stripes_[AttrSetHash{}(key) % stripes_.size()];
   }
 
+  /// Promotes `key` to MRU without hit/miss accounting (BestSubset's
+  /// winner); a no-op if it is no longer resident.
+  void Touch(AttrSet key);
+
   /// Reserves `cost` bytes against the global budget iff it fits; the CAS
   /// loop guarantees bytes_ <= capacity at every instant.
   bool TryReserve(size_t cost);
   void Release(size_t cost) {
     bytes_.fetch_sub(cost, std::memory_order_relaxed);
   }
-  /// Reserves kValueEntryBytes against the memo segment quota.
-  bool TryReserveValue();
-  void ReleaseValue() {
-    value_bytes_.fetch_sub(kValueEntryBytes, std::memory_order_relaxed);
-  }
 
-  /// Evicts the LRU partition entry of some stripe (round-robin scan from
-  /// an advancing cursor), downgrading it to a value-only memo entry when
-  /// it carries one worth keeping. Falls back to value-only entries when
-  /// no stripe has a partition. Returns false when every stripe is empty.
+  /// Evicts the LRU entry of some stripe (round-robin scan from an
+  /// advancing cursor). Returns false when every stripe is empty.
   bool EvictSomething(Stats* stats);
-  /// Evicts the LRU value-only entry of some stripe. Returns false when
-  /// the memo segment is empty everywhere.
-  bool EvictSomeValueEntry(Stats* stats);
 
   const size_t capacity_bytes_;
-  std::atomic<size_t> bytes_{0};        // resident bytes, all entries
-  std::atomic<size_t> value_bytes_{0};  // resident bytes, memo segment
+  std::atomic<size_t> bytes_{0};  // resident bytes, all entries
   std::atomic<size_t> evict_cursor_{0};
   std::vector<Stripe> stripes_;
 };

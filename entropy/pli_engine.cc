@@ -25,11 +25,54 @@ PliSharedCore::PliSharedCore(const Relation& relation,
   }
 }
 
+size_t EntropyMemo::Probe(uint64_t key) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = AttrSetHash{}(AttrSet(key)) & mask;
+  while (slots_[i].key != 0 && slots_[i].key != key) i = (i + 1) & mask;
+  return i;
+}
+
+bool EntropyMemo::Find(AttrSet key, double* h) const {
+  // Mask 0 probes to the first free slot: the empty set is never found.
+  if (slots_.empty()) return false;
+  const Slot& slot = slots_[Probe(key.bits())];
+  if (slot.key == 0) return false;
+  *h = slot.value;
+  return true;
+}
+
+void EntropyMemo::Insert(AttrSet key, double h) {
+  if (key.Empty()) return;
+  if (!slots_.empty()) {
+    Slot& slot = slots_[Probe(key.bits())];
+    if (slot.key == key.bits() || 2 * (size_ + 1) <= slots_.size()) {
+      if (slot.key == 0) ++size_;
+      slot = Slot{key.bits(), h};
+      return;
+    }
+  }
+  // A new key would pass half load: grow, or at the bound start over.
+  // Every value is exact, so dropping them costs recomputation, never a
+  // different answer.
+  if (slots_.size() == kMaxSlots) {
+    std::fill(slots_.begin(), slots_.end(), Slot{});
+    size_ = 0;
+  } else {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(old.empty() ? kInitialSlots : 2 * old.size(), Slot{});
+    for (const Slot& slot : old) {
+      if (slot.key != 0) slots_[Probe(slot.key)] = slot;
+    }
+  }
+  slots_[Probe(key.bits())] = Slot{key.bits(), h};
+  ++size_;
+}
+
 PliEntropyEngine::PliEntropyEngine(const Relation& relation,
                                    PliEngineOptions options)
     : core_(std::make_shared<PliSharedCore>(relation, options)),
       cache_(std::make_shared<PliCache>(
-          core_->options().cache_capacity_bytes, core_->options().cache_stripes)) {}
+          core_->options().cache_capacity_bytes)) {}
 
 PliEntropyEngine::PliEntropyEngine(std::shared_ptr<const PliSharedCore> core,
                                    std::shared_ptr<PliCache> cache)
@@ -71,12 +114,10 @@ double PliEntropyEngine::Entropy(AttrSet attrs) {
     return core_->SingleEntropy(attrs.First());
   }
 
-  if (options.cache_entropy_values) {
-    double memoized;
-    if (cache_->GetEntropy(attrs, &memoized)) {
-      ++value_hits_;
-      return memoized;
-    }
+  double memoized = 0.0;
+  if (memo_.Find(attrs, &memoized)) {
+    ++value_hits_;
+    return memoized;
   }
 
   // Exact-partition probe — the accounted hit/miss event: a hit means the
@@ -85,7 +126,7 @@ double PliEntropyEngine::Entropy(AttrSet attrs) {
   if (PliCache::PartitionRef exact = cache_->Get(attrs, &cache_stats_)) {
     ++depth_hist_[0];
     const double h = exact->Entropy();
-    if (options.cache_entropy_values) cache_->PutEntropy(attrs, h, &cache_stats_);
+    memo_.Insert(attrs, h);
     return h;
   }
 
@@ -163,9 +204,7 @@ double PliEntropyEngine::Entropy(AttrSet attrs) {
       local->MemoryBytes() <= cache_->capacity_bytes()) {
     cache_->Put(attrs, std::move(*local), &cache_stats_);
   }
-  // Memoize after the partition Put so the value attaches to the resident
-  // entry for free instead of opening a value-only entry.
-  if (options.cache_entropy_values) cache_->PutEntropy(attrs, h, &cache_stats_);
+  memo_.Insert(attrs, h);
   return h;
 }
 
@@ -218,7 +257,6 @@ void AppendEngineMetrics(const PliEntropyEngine::Stats& stats,
   registry->Count("pli.cache.hits", stats.cache.hits);
   registry->Count("pli.cache.misses", stats.cache.misses);
   registry->Count("pli.cache.insertions", stats.cache.insertions);
-  registry->Count("pli.cache.value_insertions", stats.cache.value_insertions);
   registry->Count("pli.cache.evictions", stats.cache.evictions);
   registry->GaugeMax("pli.cache.resident_bytes",
                      static_cast<int64_t>(stats.cache.bytes));

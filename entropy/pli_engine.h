@@ -3,11 +3,11 @@
 // PliEntropyEngine: the Sec. 6.3 entropy engine. H(X) is computed by
 // intersecting cached stripped partitions instead of scanning the relation:
 //
-//   1. exact-match value memo: a repeated query is a hash lookup. The memo
-//      lives inside the PliCache (attached to partition entries for free,
-//      or as value-only entries in a quota-capped memo segment), so it
-//      shares the byte budget instead of growing without bound. Single
-//      columns bypass it: their H is precomputed at construction;
+//   1. exact-match value memo: a repeated query is one lookup in the
+//      handle's own EntropyMemo — thread-confined, so no lock and no
+//      shared write on the hit path, and bounded by
+//      EntropyMemo::kMaxSlots. Single columns bypass it: their H is
+//      precomputed at construction;
 //   2. otherwise, start from the largest cached subset partition of X
 //      (found via the cache's width index) and fold in the missing
 //      attributes one single-column PLI at a time over the epoch-stamped
@@ -24,17 +24,18 @@
 //                      StrippedPartition per column, and every single-column
 //                      entropy. Built once, read concurrently by any number
 //                      of workers with no synchronization.
-//   PliCache         — ONE concurrent cache (striped locks, one global byte
-//                      budget) shared by every engine handle forked from the
-//                      same core: a partition materialized by any worker is
-//                      immediately a hit for all of them, and no budget is
-//                      stranded in cold per-worker slices.
-//   PliEntropyEngine — the per-worker handle: the intersect scratch vector
-//                      and the query/hit counters. One handle is owned by
-//                      one thread at a time; ForkShards() hands out handles
-//                      over the shared core + cache and MergeStats() folds
-//                      worker counters back so aggregate ablation numbers
-//                      add up exactly across any thread count.
+//   PliCache         — ONE concurrent partition cache (striped locks, one
+//                      global byte budget) shared by every engine handle
+//                      forked from the same core: a partition materialized
+//                      by any worker is immediately a hit for all of them,
+//                      and no budget is stranded in cold per-worker slices.
+//   PliEntropyEngine — the per-worker handle: the H(X) value memo, the
+//                      intersect scratch and the query/hit counters. One
+//                      handle is owned by one thread at a time; ForkShards()
+//                      hands out handles over the shared core + cache, each
+//                      with an empty memo, and MergeStats() folds worker
+//                      counters back so aggregate ablation numbers add up
+//                      exactly across any thread count.
 //
 // Counters for every layer (value hits, PLI hits/misses, evictions, bytes,
 // intersections) feed the ablation bench.
@@ -62,12 +63,38 @@ struct PliEngineOptions {
   /// engine handle forked from the same core shares the one cache, so no
   /// bytes are sliced away or stranded per worker.
   size_t cache_capacity_bytes = size_t{64} << 20;
-  /// Memoize final H(X) values in the partition cache (exact-match memo;
-  /// budgeted and LRU-evicted alongside the partitions).
-  bool cache_entropy_values = true;
-  /// Lock stripes for the shared cache; <= 0 picks the default (16). One
-  /// stripe gives exact global LRU order (useful in tests).
-  int cache_stripes = 0;
+};
+
+/// Exact H(X) values keyed by attribute mask: one per engine handle and
+/// touched only by the thread that owns the handle, so it takes no lock.
+/// Open addressing with linear probing at load <= 1/2; the table doubles
+/// from kInitialSlots up to kMaxSlots 16-byte slots (2 MiB) and then, instead
+/// of growing, restarts empty at that size. Mask 0 marks an empty slot, so
+/// the empty set is never stored (H({}) = 0 needs no memo).
+class EntropyMemo {
+ public:
+  static constexpr size_t kInitialSlots = size_t{1} << 10;
+  static constexpr size_t kMaxSlots = size_t{1} << 17;
+
+  /// Sets `*h` and returns true iff H(key) is stored.
+  bool Find(AttrSet key, double* h) const;
+  /// Stores H(key); a no-op for the empty set.
+  void Insert(AttrSet key, double h);
+
+  size_t size() const { return size_; }
+  size_t slots() const { return slots_.size(); }
+
+ private:
+  struct Slot {
+    uint64_t key = 0;  // 0 = empty
+    double value = 0.0;
+  };
+  /// The slot holding `key`, or the empty slot where it would go. Requires
+  /// a non-empty table.
+  size_t Probe(uint64_t key) const;
+
+  std::vector<Slot> slots_;
+  size_t size_ = 0;
 };
 
 /// The immutable half of the engine: everything every worker reads and no
@@ -110,8 +137,8 @@ class PliEntropyEngine : public EntropyEngine {
   /// Forks `num_shards` worker handles over this engine's immutable core
   /// AND its shared concurrent cache — the full byte budget, no slicing.
   /// Partitions staged by this engine are warm for every worker (and vice
-  /// versa). Each handle carries only thread-confined state (scratch
-  /// vector, counters) and may be handed to a different thread.
+  /// versa). Each handle carries only thread-confined state (an empty value
+  /// memo, scratch, counters) and may be handed to a different thread.
   std::vector<std::unique_ptr<PliEntropyEngine>> ForkShards(
       int num_shards) const;
   /// Single worker handle over the shared core + cache.
@@ -179,8 +206,9 @@ class PliEntropyEngine : public EntropyEngine {
                    std::shared_ptr<PliCache> cache);
 
   std::shared_ptr<const PliSharedCore> core_;
-  std::shared_ptr<PliCache> cache_;  // shared: partitions + the H(X) memo
+  std::shared_ptr<PliCache> cache_;  // shared partition cache
   PliCache::Stats cache_stats_;   // this handle's slice of cache counters
+  EntropyMemo memo_;                 // this handle's H(X) values
   IntersectScratch epoch_scratch_;   // intersect kernel tag scratch
   /// Fold-chain output buffers, ping-ponged so a depth-k chain reuses two
   /// allocations instead of making k. A buffer whose partition is staged
@@ -215,7 +243,7 @@ class MetricsRegistry;
 /// namespace: queries / value_hits / intersections, the fused-kernel
 /// counters (`pli.subset_probe.probes`, `pli.subset_probe.candidates`,
 /// `pli.fused.entropies`), the cache counters
-/// (hits, misses, insertions, value_insertions, evictions), the
+/// (hits, misses, insertions, evictions), the
 /// `pli.cache.resident_bytes` gauge (high-water across folds), and the
 /// `pli.intersect_depth` histogram. Fold ONCE per engine, after its
 /// workers' stats are merged — typically right before a bench reports.

@@ -100,13 +100,20 @@ storectl_out="${build_dir}/check_smoke.maimon"
 rm -f "${storectl_out}"
 # Malformed numeric flags exit 2 before anything is mined or written: never
 # read as their numeric prefix, as 0 (an unbounded budget) or as a wrapped
-# count.
+# count. The figure harnesses share storectl's parsers; bench_fig10_nursery
+# stands in for them (it has no --eps, so that flag exits 2 as unknown).
 for bad in --eps=abc --eps=0.3x --budget=xyz --max-schemas=-1; do
   code=0
   "${build_dir}/storectl" pack --out="${storectl_out}" "${bad}" \
     2>/dev/null || code=$?
   if [[ ${code} -ne 2 || -e "${storectl_out}" ]]; then
     echo "storectl pack ${bad}: exit ${code}, expected 2 and no file" >&2
+    exit 1
+  fi
+  code=0
+  "${build_dir}/bench_fig10_nursery" "${bad}" >/dev/null 2>&1 || code=$?
+  if [[ ${code} -ne 2 ]]; then
+    echo "bench_fig10_nursery ${bad}: exit ${code}, expected 2" >&2
     exit 1
   fi
 done

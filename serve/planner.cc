@@ -31,8 +31,7 @@ QueryPlan Planner::Plan(const Query& query) const {
   }
   AttrSet touched = query.attrs;
   for (const Selection& sel : query.selections) {
-    if (sel.attr < 0 || sel.attr >= AttrSet::kMaxAttrs ||
-        !universe_.Contains(sel.attr)) {
+    if (!universe_.Contains(sel.attr)) {
       plan.status = Status::InvalidArgument(
           "selection on attribute outside the store universe: " +
           std::to_string(sel.attr));

@@ -17,12 +17,8 @@
 //       store. Corruption prints the DataLoss message and exits 1 — the
 //       same layered validation serve/ relies on, surfaced on the CLI.
 
-#include <cctype>
-#include <cerrno>
 #include <cinttypes>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -51,32 +47,6 @@ int Usage() {
       "               [--eps=E] [--budget=S] [--max-schemas=N] [--no-reduce]\n"
       "               [--trace=FILE] [--metrics=FILE]\n"
       "  storectl inspect PATH\n");
-  return 2;
-}
-
-// Whole-string numeric flag values: a value with trailing characters, no
-// digits, or out of range is rejected, never read as its prefix or as 0.
-bool ParseDouble(const char* text, double* out) {
-  char* end = nullptr;
-  const double value = std::strtod(text, &end);
-  if (end == text || *end != '\0' || !std::isfinite(value)) return false;
-  *out = value;
-  return true;
-}
-
-bool ParseCount(const char* text, size_t* out) {
-  // strtoull accepts a sign and negates into a huge count; demand digits.
-  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(text, &end, 10);
-  if (*end != '\0' || errno == ERANGE) return false;
-  *out = static_cast<size_t>(value);
-  return true;
-}
-
-int BadValue(const char* arg, const char* want) {
-  std::fprintf(stderr, "pack: %s: expected %s\n", arg, want);
   return 2;
 }
 
@@ -112,18 +82,9 @@ int RunPack(int argc, char** argv) {
       dataset = arg + 10;
     } else if (std::strncmp(arg, "--csv=", 6) == 0) {
       csv_path = arg + 6;
-    } else if (std::strncmp(arg, "--eps=", 6) == 0) {
-      if (!ParseDouble(arg + 6, &eps) || eps < 0) {
-        return BadValue(arg, "a finite number >= 0");
-      }
-    } else if (std::strncmp(arg, "--budget=", 9) == 0) {
-      if (!ParseDouble(arg + 9, &budget) || budget <= 0) {
-        return BadValue(arg, "a finite number of seconds > 0");
-      }
-    } else if (std::strncmp(arg, "--max-schemas=", 14) == 0) {
-      if (!ParseCount(arg + 14, &max_schemas) || max_schemas < 1) {
-        return BadValue(arg, "an integer >= 1");
-      }
+    } else if (bench::EpsFlag(arg, &eps)) {
+    } else if (bench::SecondsFlag(arg, "--budget=", &budget)) {
+    } else if (bench::CountFlag(arg, "--max-schemas=", &max_schemas)) {
     } else if (std::strcmp(arg, "--no-reduce") == 0) {
       reduce = false;
     } else if (bench::ParseObsFlag(arg, &trace_path, &metrics_path)) {

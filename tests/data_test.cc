@@ -5,6 +5,7 @@
 // 12,960 x 9 product with a determined class column).
 
 #include <cstdio>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -175,6 +176,28 @@ TEST_CASE(CsvImportRejectsWhatAttrSetCannotAddress) {
   CHECK(ImportCsv(path, &r).ok());
   CHECK_EQ(r.DomainSize(0), 4294967295u);
   std::remove(path.c_str());
+}
+
+TEST_CASE(AttrSetMembershipIsTotalOutsideTheMask) {
+  // No set holds an attribute outside [0, 64): Contains is false and
+  // Without returns the set unchanged, never shifting past the mask width.
+  const AttrSet full = AttrSet::Universe(AttrSet::kMaxAttrs);
+  const AttrSet some(0b1011);
+  for (int attr : {-1, AttrSet::kMaxAttrs, AttrSet::kMaxAttrs + 1, 1 << 20,
+                   std::numeric_limits<int>::min(),
+                   std::numeric_limits<int>::max()}) {
+    CHECK(!full.Contains(attr));
+    CHECK(!AttrSet(1).Contains(attr));
+    CHECK_EQ(full.Without(attr), full);
+    CHECK_EQ(some.Without(attr), some);
+  }
+  // In range, the top bit included, membership is the mask's.
+  CHECK(full.Contains(AttrSet::kMaxAttrs - 1));
+  CHECK(!full.Without(AttrSet::kMaxAttrs - 1)
+             .Contains(AttrSet::kMaxAttrs - 1));
+  CHECK(some.Contains(3));
+  CHECK(!some.Contains(2));
+  CHECK_EQ(some.Without(1), AttrSet(0b1001));
 }
 
 TEST_CASE(NurseryMatchesThePaperShape) {

@@ -6,6 +6,7 @@
 // several block sizes L so the staging path is covered, not just the memo.
 
 #include <cstdint>
+#include <cstring>
 
 #include "data/planted.h"
 #include "entropy/naive_engine.h"
@@ -115,12 +116,57 @@ TEST_CASE(EntropyBasicProperties) {
   CHECK(prev <= std::log2(static_cast<double>(r.NumRows())) + 1e-9);
 
   // Engine counters move: multi-attribute first computations are partition
-  // cache misses, repeats are value-memo hits.
+  // cache misses, repeats are value-memo hits that never reach the shared
+  // partition cache.
   const auto cold = pli.stats();
   CHECK(cold.cache.misses > 0);
   CHECK(cold.intersections > 0);
   pli.Entropy(acc);
-  CHECK_EQ(pli.stats().value_hits, cold.value_hits + 1);
+  const auto warm = pli.stats();
+  CHECK_EQ(warm.value_hits, cold.value_hits + 1);
+  CHECK_EQ(warm.cache.hits, cold.cache.hits);
+  CHECK_EQ(warm.cache.misses, cold.cache.misses);
+  CHECK_EQ(warm.subset_probes, cold.subset_probes);
+}
+
+TEST_CASE(EntropyMemoKeepsExactValuesWithinItsBound) {
+  const auto value = [](uint64_t k) { return static_cast<double>(k) / 3.0; };
+  const auto same_bits = [](double a, double b) {
+    return std::memcmp(&a, &b, sizeof a) == 0;
+  };
+  EntropyMemo memo;
+  double h = 0.0;
+
+  // Mask 0 marks a free slot: the empty set is never stored.
+  memo.Insert(AttrSet(), 1.0);
+  CHECK_EQ(memo.size(), 0u);
+  CHECK(!memo.Find(AttrSet(), &h));
+
+  // Fill to half of the bound, through every doubling from the initial
+  // table: each rehash must carry every stored value over bit-exactly.
+  const uint64_t limit = EntropyMemo::kMaxSlots / 2;
+  for (uint64_t k = 1; k <= limit; ++k) memo.Insert(AttrSet(k), value(k));
+  CHECK_EQ(memo.size(), limit);
+  CHECK_EQ(memo.slots(), EntropyMemo::kMaxSlots);
+  bool exact = true;
+  for (uint64_t k = 1; k <= limit; ++k) {
+    exact = exact && memo.Find(AttrSet(k), &h) && same_bits(h, value(k));
+  }
+  CHECK(exact);
+  CHECK(!memo.Find(AttrSet(limit + 1), &h));
+
+  // Overwriting a stored key is not a new key: no restart.
+  memo.Insert(AttrSet(1), value(1));
+  CHECK_EQ(memo.size(), limit);
+
+  // One more key would pass half load at the bound: the table restarts
+  // empty at the same size instead of growing.
+  memo.Insert(AttrSet(limit + 1), value(limit + 1));
+  CHECK_EQ(memo.slots(), EntropyMemo::kMaxSlots);
+  CHECK_EQ(memo.size(), 1u);
+  CHECK(!memo.Find(AttrSet(1), &h));
+  CHECK(memo.Find(AttrSet(limit + 1), &h));
+  CHECK(same_bits(h, value(limit + 1)));
 }
 
 }  // namespace

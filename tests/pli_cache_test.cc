@@ -6,7 +6,8 @@
 // cache, where eviction order is exact global LRU; the stress case runs
 // the default striping with eight threads of mixed traffic and checks the
 // invariants that survive concurrency: bytes <= capacity at every instant,
-// per-thread counters folding exactly, and memo values never torn.
+// per-thread counters folding exactly, and pinned partitions staying
+// readable.
 
 #include "entropy/pli_cache.h"
 
@@ -103,133 +104,6 @@ TEST_CASE(PutNeverEvictsTheInsertedEntryAndRefsStayValid) {
   CHECK_EQ(third->NumRows(), size_t{128});
 }
 
-TEST_CASE(EntropyMemoSharesTheByteBudgetAndLru) {
-  // The memo segment gets 1/8 of the budget: room for exactly three
-  // value-only entries.
-  PliCache cache(PliCache::kValueEntryBytes * 24, /*num_stripes=*/1);
-  PliCache::Stats st;
-  double h = 0.0;
-  CHECK(!cache.GetEntropy(AttrSet(1), &h));
-  cache.PutEntropy(AttrSet(1), 1.5, &st);
-  CHECK_EQ(cache.bytes(), PliCache::kValueEntryBytes);
-  CHECK(cache.GetEntropy(AttrSet(1), &h));
-  CHECK_NEAR(h, 1.5, 0.0);
-
-  // Value-only entries are invisible to the partition interface.
-  CHECK(!cache.Contains(AttrSet(1)));
-  CHECK(cache.Get(AttrSet(1), &st) == nullptr);
-  int partition_keys = 0;
-  cache.ForEachKey([&](AttrSet) { ++partition_keys; });
-  CHECK_EQ(partition_keys, 0);
-
-  // The fourth insert recycles the segment's least-recently-used entry:
-  // AttrSet(1) (its promotion predates the later inserts) goes, the rest
-  // stay — true LRU within the memo segment, partitions never touched.
-  cache.PutEntropy(AttrSet(2), 2.5, &st);
-  cache.PutEntropy(AttrSet(4), 3.5, &st);
-  cache.PutEntropy(AttrSet(8), 4.5, &st);
-  CHECK(!cache.GetEntropy(AttrSet(1), &h));
-  CHECK(cache.GetEntropy(AttrSet(4), &h));
-  CHECK(cache.GetEntropy(AttrSet(8), &h));
-  CHECK_EQ(st.value_insertions, 4u);
-  CHECK_EQ(st.evictions, 1u);
-  CHECK(cache.bytes() <= cache.capacity_bytes());
-}
-
-TEST_CASE(EntropyMemoAttachesToPartitionEntries) {
-  PliCache cache(size_t{1} << 20, /*num_stripes=*/1);
-  PliCache::Stats st;
-  cache.Put(AttrSet(1), MakePartition(64), &st);
-  const size_t bytes_before = cache.bytes();
-  cache.PutEntropy(AttrSet(1), 7.0, &st);  // rides the resident entry free
-  CHECK_EQ(cache.bytes(), bytes_before);
-  double h = 0.0;
-  CHECK(cache.GetEntropy(AttrSet(1), &h));
-  CHECK_NEAR(h, 7.0, 0.0);
-
-  // Upgrading a value-only entry to a partition entry keeps the memo and
-  // re-charges the entry at the partition's cost.
-  cache.PutEntropy(AttrSet(2), 9.0, &st);
-  const size_t with_value = cache.bytes();
-  const size_t resident_cost = [&] {
-    StrippedPartition p = MakePartition(64);
-    p.ShrinkToFit();
-    return p.MemoryBytes();
-  }();
-  CHECK(cache.Put(AttrSet(2), MakePartition(64), &st) != nullptr);
-  CHECK_EQ(cache.bytes(),
-           with_value - PliCache::kValueEntryBytes + resident_cost);
-  CHECK(cache.Contains(AttrSet(2)));
-  CHECK(cache.GetEntropy(AttrSet(2), &h));
-  CHECK_NEAR(h, 9.0, 0.0);
-}
-
-TEST_CASE(PartitionInsertShedsMemoEntriesToHoldBudget) {
-  const size_t big = MakePartition(2048).MemoryBytes();
-  PliCache cache(big + PliCache::kValueEntryBytes, /*num_stripes=*/1);
-  PliCache::Stats st;
-  cache.PutEntropy(AttrSet(2), 1.0, &st);
-  cache.PutEntropy(AttrSet(4), 2.0, &st);
-  CHECK(cache.bytes() == 2 * PliCache::kValueEntryBytes);
-  // The near-capacity partition fits only if memo entries are shed: the
-  // budget invariant must hold after the insert.
-  CHECK(cache.Put(AttrSet(1), MakePartition(2048), &st) != nullptr);
-  CHECK(cache.Contains(AttrSet(1)));
-  CHECK(cache.bytes() <= cache.capacity_bytes());
-}
-
-TEST_CASE(EvictedPartitionKeepsItsMemoAsValueEntry) {
-  const size_t entry_bytes = MakePartition(256).MemoryBytes();
-  // Memo quota = entry_bytes: plenty. One stripe: exact LRU.
-  PliCache cache(8 * entry_bytes, /*num_stripes=*/1);
-  PliCache::Stats st;
-  cache.Put(AttrSet(1), MakePartition(256), &st);
-  cache.PutEntropy(AttrSet(1), 3.25, &st);
-  // Push key 1 out of the partition set with eight fresh partitions.
-  for (int k = 1; k <= 8; ++k) {
-    cache.Put(AttrSet(uint64_t{1} << (k + 1)), MakePartition(256), &st);
-  }
-  CHECK(!cache.Contains(AttrSet(1)));  // partition evicted...
-  double h = 0.0;
-  CHECK(cache.GetEntropy(AttrSet(1), &h));  // ...but the memo survived
-  CHECK_NEAR(h, 3.25, 0.0);
-  CHECK(cache.bytes() <= cache.capacity_bytes());
-}
-
-TEST_CASE(MemoInsertNeverDisplacesAPartition) {
-  const size_t part_bytes = MakePartition(256).MemoryBytes();
-  PliCache cache(part_bytes + PliCache::kValueEntryBytes / 2,
-                 /*num_stripes=*/1);
-  PliCache::Stats st;
-  const PliCache::PartitionRef resident =
-      cache.Put(AttrSet(1), MakePartition(256), &st);
-  CHECK(resident != nullptr);
-  // No room for a value entry without evicting the partition: the memo is
-  // skipped, the resident ref stays valid, and the budget holds.
-  cache.PutEntropy(AttrSet(2), 5.0, &st);
-  CHECK(cache.Contains(AttrSet(1)));
-  CHECK_EQ(resident->NumRows(), size_t{256});
-  double h = 0.0;
-  CHECK(!cache.GetEntropy(AttrSet(2), &h));
-  CHECK_EQ(st.evictions, 0u);
-  CHECK(cache.bytes() <= cache.capacity_bytes());
-}
-
-TEST_CASE(MemoInsertHoldsTheTotalBudgetOnNearFullCache) {
-  // Partition fills the cache but leaves the memo quota nominally open:
-  // PutEntropy must still respect the TOTAL budget (skip, not overflow).
-  const size_t part_bytes = MakePartition(2048).MemoryBytes();
-  PliCache cache(part_bytes + PliCache::kValueEntryBytes / 2,
-                 /*num_stripes=*/1);
-  PliCache::Stats st;
-  CHECK(cache.Put(AttrSet(1), MakePartition(2048), &st) != nullptr);
-  cache.PutEntropy(AttrSet(2), 5.0, &st);
-  double h = 0.0;
-  CHECK(!cache.GetEntropy(AttrSet(2), &h));
-  CHECK(cache.Contains(AttrSet(1)));
-  CHECK(cache.bytes() <= cache.capacity_bytes());
-}
-
 TEST_CASE(RefreshingAKeyUpdatesBytesWithoutDoubleCounting) {
   PliCache cache(size_t{1} << 20, /*num_stripes=*/1);
   PliCache::Stats st;
@@ -283,25 +157,21 @@ TEST_CASE(BestSubsetReturnsWidestApplicableKey) {
   CHECK(key.Empty());
 }
 
-TEST_CASE(BestSubsetTracksEvictionDowngradeAndRefresh) {
+TEST_CASE(BestSubsetTracksEvictionAndRefresh) {
   const size_t entry_bytes = MakePartition(256).MemoryBytes();
   PliCache cache(3 * entry_bytes + entry_bytes / 2, /*num_stripes=*/1);
   PliCache::Stats st;
   cache.Put(AttrSet(0b011), MakePartition(256), &st);
-  cache.PutEntropy(AttrSet(0b011), 1.25, &st);  // memo → evicts to value-only
 
-  // Push the key out of the partition set; it downgrades to a value-only
-  // memo entry, which the subset index must forget.
+  // Push the key out of the cache; the subset index must forget it.
   cache.Put(AttrSet(0b100), MakePartition(256), &st);
   cache.Put(AttrSet(0b1000), MakePartition(256), &st);
   cache.Put(AttrSet(0b10000), MakePartition(256), &st);
   CHECK(!cache.Contains(AttrSet(0b011)));
-  double h = 0.0;
-  CHECK(cache.GetEntropy(AttrSet(0b011), &h));  // downgraded, not dropped
 
   AttrSet key;
   uint64_t candidates = 0;
-  // The width-2 downgraded key must NOT come back; the width-1 resident
+  // The evicted width-2 key must NOT come back; the width-1 resident
   // subset wins instead.
   const PliCache::PartitionRef ref =
       cache.BestSubset(AttrSet(0b111), &key, &candidates);
@@ -339,18 +209,17 @@ TEST_CASE(BestSubsetPromotesOnlyTheWinner) {
   CHECK(cache.Contains(AttrSet(0b110)));
 }
 
-// Eight threads of mixed Get/Put/memo traffic against a cache sized to
-// force constant eviction. Checks the concurrency contract:
+// Eight threads of mixed Get/Put/BestSubset traffic against a cache sized
+// to force constant eviction. Checks the concurrency contract:
 //   * bytes() <= capacity at EVERY observation (reservation-before-insert);
 //   * per-thread Stats fold exactly: hits + misses == the known number of
 //     Get calls issued across all threads;
 //   * returned refs stay readable under concurrent eviction (ASan/TSan
-//     make this a real check, not a formality);
-//   * memo values are never torn: a GetEntropy hit returns exactly the
-//     value some thread wrote for that key.
+//     make this a real check, not a formality), and a BestSubset winner is
+//     always a subset of its query.
 TEST_CASE(ConcurrentMixedTrafficHoldsInvariantsAndFoldsCountersExactly) {
   const size_t entry_bytes = MakePartition(128).MemoryBytes();
-  PliCache cache(6 * entry_bytes + PliCache::kValueEntryBytes * 8);
+  PliCache cache(6 * entry_bytes + entry_bytes / 2);
   constexpr int kThreads = 8;
   constexpr int kOpsPerThread = 4000;
   constexpr uint64_t kKeySpace = 24;  // >> resident capacity: churn
@@ -358,12 +227,7 @@ TEST_CASE(ConcurrentMixedTrafficHoldsInvariantsAndFoldsCountersExactly) {
   std::vector<PliCache::Stats> per_thread(kThreads);
   std::vector<uint64_t> gets_issued(kThreads, 0);
   std::atomic<bool> budget_ok{true};
-  std::atomic<bool> values_ok{true};
   std::atomic<bool> refs_ok{true};
-
-  const auto expected_value = [](uint64_t key_bits) {
-    return 0.5 + static_cast<double>(key_bits);
-  };
 
   std::vector<std::thread> threads;
   threads.reserve(kThreads);
@@ -382,7 +246,7 @@ TEST_CASE(ConcurrentMixedTrafficHoldsInvariantsAndFoldsCountersExactly) {
       for (int op = 0; op < kOpsPerThread; ++op) {
         const uint64_t r = next();
         const AttrSet key(uint64_t{1} << (r % kKeySpace));
-        switch ((r >> 32) % 4) {
+        switch ((r >> 32) % 3) {
           case 0: {
             const PliCache::PartitionRef ref = cache.Get(key, &st);
             ++gets_issued[static_cast<size_t>(t)];
@@ -401,14 +265,18 @@ TEST_CASE(ConcurrentMixedTrafficHoldsInvariantsAndFoldsCountersExactly) {
             }
             break;
           }
-          case 2:
-            cache.PutEntropy(key, expected_value(key.bits()), &st);
-            break;
           default: {
-            double h = 0.0;
-            if (cache.GetEntropy(key, &h) &&
-                h != expected_value(key.bits())) {
-              values_ok.store(false, std::memory_order_relaxed);
+            // A two- or one-attribute query: any resident key inside it
+            // may win, and the pinned winner must stay readable.
+            const AttrSet query =
+                key.Union(AttrSet(uint64_t{1} << ((r >> 8) % kKeySpace)));
+            AttrSet best;
+            const PliCache::PartitionRef ref =
+                cache.BestSubset(query, &best, /*candidates=*/nullptr);
+            if (ref != nullptr &&
+                (ref->NumRows() != 128 || best.Empty() ||
+                 !query.ContainsAll(best))) {
+              refs_ok.store(false, std::memory_order_relaxed);
             }
             break;
           }
@@ -422,7 +290,6 @@ TEST_CASE(ConcurrentMixedTrafficHoldsInvariantsAndFoldsCountersExactly) {
   for (std::thread& th : threads) th.join();
 
   CHECK(budget_ok.load());
-  CHECK(values_ok.load());
   CHECK(refs_ok.load());
   CHECK(cache.bytes() <= cache.capacity_bytes());
 

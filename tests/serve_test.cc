@@ -471,11 +471,15 @@ TEST_CASE(InvalidQueriesAreRejectedUpFront) {
   bad_range.selections.push_back(serve::Selection::Range(1, 5, 2));
   CHECK_EQ(service.Execute(bad_range).status.code(),
            Status::Code::kInvalidArgument);
-  serve::Query bad_sel_attr;
-  bad_sel_attr.attrs = AttrSet::Single(0);
-  bad_sel_attr.selections.push_back(serve::Selection::Eq(40, 0));
-  CHECK_EQ(service.Execute(bad_sel_attr).status.code(),
-           Status::Code::kInvalidArgument);
+  // Selection attributes outside the universe, including ones no AttrSet
+  // can hold.
+  for (int attr : {40, 64, -1}) {
+    serve::Query bad_sel_attr;
+    bad_sel_attr.attrs = AttrSet::Single(0);
+    bad_sel_attr.selections.push_back(serve::Selection::Eq(attr, 0));
+    CHECK_EQ(service.Execute(bad_sel_attr).status.code(),
+             Status::Code::kInvalidArgument);
+  }
 }
 
 TEST_CASE(SwapPublishesTheNewStoreAtomically) {

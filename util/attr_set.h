@@ -47,8 +47,9 @@ class AttrSet {
     assert(attr >= 0 && attr < kMaxAttrs);
     bits_ &= ~(uint64_t{1} << attr);
   }
+  /// False for any attr outside [0, kMaxAttrs): no set holds one.
   constexpr bool Contains(int attr) const {
-    return (bits_ >> attr) & uint64_t{1};
+    return attr >= 0 && attr < kMaxAttrs && ((bits_ >> attr) & uint64_t{1});
   }
   constexpr bool ContainsAll(AttrSet other) const {
     return (bits_ & other.bits_) == other.bits_;
@@ -70,8 +71,11 @@ class AttrSet {
     assert(attr >= 0 && attr < kMaxAttrs);
     return AttrSet(bits_ | (uint64_t{1} << attr));
   }
+  /// The set unchanged for any attr outside [0, kMaxAttrs).
   constexpr AttrSet Without(int attr) const {
-    return AttrSet(bits_ & ~(uint64_t{1} << attr));
+    return attr >= 0 && attr < kMaxAttrs
+               ? AttrSet(bits_ & ~(uint64_t{1} << attr))
+               : *this;
   }
 
   /// Lowest attribute index in the set; -1 when empty.

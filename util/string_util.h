@@ -1,11 +1,16 @@
 // Copyright (c) Maimon-cpp authors. Licensed under the MIT license.
 //
-// Small string helpers shared by the bench harness printers.
+// Small string helpers shared by the bench harness printers, and the
+// strict number parsers every command-line flag goes through.
 
 #ifndef MAIMON_UTIL_STRING_UTIL_H_
 #define MAIMON_UTIL_STRING_UTIL_H_
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -42,6 +47,29 @@ inline std::string WithThousands(size_t value) {
     }
   }
   return std::string(out.rbegin(), out.rend());
+}
+
+/// Whole-string finite double: a value with trailing characters, no
+/// digits, or out of range is rejected (false, `*out` untouched), never
+/// read as its prefix or as 0.
+inline bool ParseDouble(const char* text, double* out) {
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || !std::isfinite(value)) return false;
+  *out = value;
+  return true;
+}
+
+/// Whole-string unsigned decimal count, rejected like ParseDouble.
+inline bool ParseCount(const char* text, size_t* out) {
+  // strtoull accepts a sign and negates into a huge count; demand digits.
+  if (!std::isdigit(static_cast<unsigned char>(text[0]))) return false;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long value = std::strtoull(text, &end, 10);
+  if (*end != '\0' || errno == ERANGE) return false;
+  *out = static_cast<size_t>(value);
+  return true;
 }
 
 }  // namespace maimon
