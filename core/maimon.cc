@@ -2,7 +2,6 @@
 
 #include "core/maimon.h"
 
-#include <algorithm>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -12,7 +11,6 @@
 #include "graph/mis.h"
 #include "scheme/assembler.h"
 #include "scheme/conflict_graph.h"
-#include "util/thread_pool.h"
 
 namespace maimon {
 namespace {
@@ -178,8 +176,8 @@ AsMinerResult Maimon::MineSchemas() {
   AsMinerResult result;
   result.status = mined.status;
   const AttrSet universe = relation_->Universe();
-  // Assembly counters fold from the final (canonically merged) result, once
-  // per MineSchemas call, on every return path.
+  // Assembly counters fold from the final result, once per MineSchemas
+  // call, on every return path.
   const auto fold_assembly = [this](const AsMinerResult& r) {
     obs::MetricsRegistry phase;
     phase.Count("assemble.independent_sets", r.independent_sets);
@@ -226,181 +224,66 @@ AsMinerResult Maimon::MineSchemas() {
     return result;
   }
 
-  // The Bron–Kerbosch root branches are the parallel grain: branch b holds
-  // exactly the maximal independent sets containing root candidate v_b and
-  // none of v_0..v_{b-1}, so branches are disjoint and their concatenation
-  // is the sequential emission order.
-  const MisDecomposition decomp(graph);
-  const int threads =
-      std::min(ResolveNumThreads(config_.num_threads),
-               static_cast<int>(decomp.NumBranches()));
-
-  if (threads <= 1) {
-    // Sequential path: stream MISes through one assembler on the facade's
-    // own oracle, deduping and capping inline — byte-for-byte the behavior
-    // the parallel merge below reconstructs.
-    obs::Span stream_span(config_.sink, "assemble.stream");
-    SchemeAssembler assembler(calc_.get(), universe);
-    std::unordered_set<std::string> seen;
-    std::vector<const Mvd*> members;
-    bool deadline_hit = false;
-    const bool completed =
-        EnumerateMaximalIndependentSets(graph, [&](const VertexSet& mis) {
-      if (deadline.Expired()) {
-        deadline_hit = true;
-        return false;
-      }
-      ++result.independent_sets;
-      members.clear();
-      mis.ForEach(
-          [&](int v) { members.push_back(&(*vertices)[static_cast<size_t>(v)]); });
-      const bool keep = assembler.Assemble(
-          members, config_.schemas.emit_intermediate_schemes, &deadline,
-          [&](AssembledScheme&& scheme) {
-            if (deadline.Expired()) {  // poll even on the duplicate path
-              deadline_hit = true;
-              return false;
-            }
-            // Canonical-form dedup: no two emitted schemes share a relation
-            // set (different independent sets often imply the same schema).
-            if (scheme.schema.NumRelations() < 2) return true;
-            if (!seen.insert(scheme.schema.ToString()).second) return true;
-            // Cap check before the push: `truncated` means a distinct scheme
-            // was actually left behind, not that the count landed exactly on
-            // max_schemas (matching the check-before-expand convention).
-            if (result.schemas.size() >= config_.schemas.max_schemas) {
-              result.truncated = true;
-              return false;
-            }
-            result.schemas.push_back(
-                {std::move(scheme.schema), scheme.j_measure});
-            if (deadline.Expired()) {
-              deadline_hit = true;
-              return false;
-            }
-            return true;
-          });
-      // Assemble also stops on the deadline it polls between splits.
-      if (!keep && !result.truncated && deadline.Expired()) deadline_hit = true;
-      return keep;
-    }, &deadline);
-    // The enumerator polls the deadline inside its recursion too (gaps
-    // between maximal sets can be exponential); catch that stop path. A
-    // completed enumeration is never mislabeled, even if the clock ran out
-    // on the final set.
-    if (!completed && !result.truncated && deadline.Expired()) {
+  // Stream the maximal independent sets through one assembler on the
+  // facade's own engine, deduping and capping inline, at every thread
+  // count. The stream stops at the first distinct scheme past max_schemas;
+  // workers splitting the enumeration could not know where that point is,
+  // so each would have to assemble far past it (DESIGN.md, "Concurrency
+  // model").
+  obs::Span stream_span(config_.sink, "assemble.stream");
+  SchemeAssembler assembler(calc_.get(), universe);
+  std::unordered_set<std::string> seen;
+  std::vector<const Mvd*> members;
+  bool deadline_hit = false;
+  const bool completed =
+      EnumerateMaximalIndependentSets(graph, [&](const VertexSet& mis) {
+    if (deadline.Expired()) {
       deadline_hit = true;
+      return false;
     }
-    if (deadline_hit) {
-      result.status = Status::DeadlineExceeded("schema enumeration budget");
-    }
-    fold_assembly(result);
-    return result;
-  }
-
-  // Parallel path: fan the root branches out over the pool. Each worker
-  // walks whole branches with its own assembler and engine handle (all
-  // handles share the one concurrent PliCache, so a partition any worker
-  // materializes is warm for the rest). Workers record per-MIS scheme
-  // streams deduped against the branch's own history — a local duplicate
-  // is always a global duplicate, because its first occurrence sits
-  // earlier in the same branch. The merge afterwards walks branches in
-  // canonical order applying the global dedup set and the cap, which
-  // reconstructs the sequential emission stream byte for byte; J-measures
-  // agree bit-exactly because H(X) is a pure function of the partition,
-  // independent of cache state.
-  struct AssembledRecord {
-    std::string canonical;
-    Schema schema;
-    double j_measure = 0.0;
-  };
-  struct BranchOutput {
-    std::vector<std::vector<AssembledRecord>> per_mis;  // one per MIS visited
-    bool hit_deadline = false;
-  };
-  const size_t num_branches = decomp.NumBranches();
-  std::vector<BranchOutput> branches(num_branches);
-  std::vector<EngineShard> shards = MakeEngineShards(*engine_, threads);
-  ThreadPool pool(threads, config_.sink);
-  const ParallelForResult run = ParallelFor(
-      &pool, threads, num_branches, &deadline, [&](int shard_idx, size_t b) {
-        obs::Span branch_span(config_.sink, "assemble.branch");
-        branch_span.Arg("branch", b);
-        EngineShard& shard = shards[static_cast<size_t>(shard_idx)];
-        BranchOutput& out = branches[b];
-        SchemeAssembler assembler(shard.calc.get(), universe);
-        std::unordered_set<std::string> local_seen;
-        std::vector<const Mvd*> members;
-        // Once a branch alone holds max_schemas distinct schemes plus one
-        // more (the truncation witness), the merged stream is guaranteed
-        // to truncate at or before that record — the rest of the branch
-        // cannot reach the output, so stop walking it.
-        const size_t local_cap = config_.schemas.max_schemas + 1;
-        size_t local_distinct = 0;
-        decomp.EnumerateBranch(b, [&](const VertexSet& mis) {
-          if (deadline.Expired()) {
-            out.hit_deadline = true;
+    ++result.independent_sets;
+    members.clear();
+    mis.ForEach(
+        [&](int v) { members.push_back(&(*vertices)[static_cast<size_t>(v)]); });
+    const bool keep = assembler.Assemble(
+        members, config_.schemas.emit_intermediate_schemes, &deadline,
+        [&](AssembledScheme&& scheme) {
+          if (deadline.Expired()) {  // poll even on the duplicate path
+            deadline_hit = true;
             return false;
           }
-          out.per_mis.emplace_back();
-          std::vector<AssembledRecord>& records = out.per_mis.back();
-          members.clear();
-          mis.ForEach([&](int v) {
-            members.push_back(&(*vertices)[static_cast<size_t>(v)]);
-          });
-          bool cap_reached = false;
-          const bool keep = assembler.Assemble(
-              members, config_.schemas.emit_intermediate_schemes, &deadline,
-              [&](AssembledScheme&& scheme) {
-                if (deadline.Expired()) {
-                  out.hit_deadline = true;
-                  return false;
-                }
-                if (scheme.schema.NumRelations() < 2) return true;
-                std::string canonical = scheme.schema.ToString();
-                if (!local_seen.insert(canonical).second) return true;
-                records.push_back(AssembledRecord{std::move(canonical),
-                                                  std::move(scheme.schema),
-                                                  scheme.j_measure});
-                if (++local_distinct >= local_cap) {
-                  cap_reached = true;
-                  return false;
-                }
-                return true;
-              });
-          if (cap_reached) return false;
-          if (!keep && deadline.Expired()) out.hit_deadline = true;
-          return keep;
-        }, &deadline);
-      });
-  for (const EngineShard& shard : shards) engine_->MergeStats(*shard.engine);
-
-  // Canonical-order merge: branches in root order, MISes in branch order,
-  // records in emission order — the sequential stream, with the global
-  // dedup and cap applied here instead of inline.
-  std::unordered_set<std::string> seen;
-  bool done = false;
-  for (size_t b = 0; b < num_branches && !done; ++b) {
-    for (std::vector<AssembledRecord>& records : branches[b].per_mis) {
-      ++result.independent_sets;
-      for (AssembledRecord& rec : records) {
-        if (!seen.insert(rec.canonical).second) continue;
-        if (result.schemas.size() >= config_.schemas.max_schemas) {
-          result.truncated = true;
-          done = true;
-          break;
-        }
-        result.schemas.push_back({std::move(rec.schema), rec.j_measure});
-      }
-      if (done) break;
-    }
+          // Canonical-form dedup: no two emitted schemes share a relation
+          // set (different independent sets often imply the same schema).
+          if (scheme.schema.NumRelations() < 2) return true;
+          if (!seen.insert(scheme.schema.ToString()).second) return true;
+          // Cap check before the push: `truncated` means a distinct scheme
+          // was actually left behind, not that the count landed exactly on
+          // max_schemas (matching the check-before-expand convention).
+          if (result.schemas.size() >= config_.schemas.max_schemas) {
+            result.truncated = true;
+            return false;
+          }
+          result.schemas.push_back(
+              {std::move(scheme.schema), scheme.j_measure});
+          if (deadline.Expired()) {
+            deadline_hit = true;
+            return false;
+          }
+          return true;
+        });
+    // Assemble also stops on the deadline it polls between splits.
+    if (!keep && !result.truncated && deadline.Expired()) deadline_hit = true;
+    return keep;
+  }, &deadline);
+  // The enumerator polls the deadline inside its recursion too (gaps
+  // between maximal sets can be exponential); catch that stop path. A
+  // completed enumeration is never mislabeled, even if the clock ran out
+  // on the final set.
+  if (!completed && !result.truncated && deadline.Expired()) {
+    deadline_hit = true;
   }
-  if (!result.truncated) {
-    bool deadline_hit = !run.completed && deadline.Expired();
-    for (const BranchOutput& out : branches) deadline_hit |= out.hit_deadline;
-    if (deadline_hit) {
-      result.status = Status::DeadlineExceeded("schema enumeration budget");
-    }
+  if (deadline_hit) {
+    result.status = Status::DeadlineExceeded("schema enumeration budget");
   }
   fold_assembly(result);
   return result;

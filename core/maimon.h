@@ -13,16 +13,16 @@
 //                   canonical form; deadline expiry returns the partial
 //                   result with kDeadlineExceeded.
 //
-// Both phases are parallel (MaimonConfig::num_threads; 0 = all hardware
-// threads). MVDMiner shards the (a, b) pair grid across a fixed
-// ThreadPool; ASMiner fans out the root branches of the Bron–Kerbosch
-// recursion. Every worker holds a PliEntropyEngine handle forked off the
-// facade's engine — the immutable core (relation, single-column PLIs and
-// entropies) AND the byte-budgeted partition cache are shared, so a
-// partition materialized by any worker is warm for all of them — and
-// per-task results are merged in canonical order (pair rank; branch
-// order), so mined MVDs, the conflict graph, and ranked schemes are
-// byte-identical for any thread count.
+// MVDMiner is parallel (MaimonConfig::num_threads; 0 = all hardware
+// threads): it shards the (a, b) pair grid across a fixed ThreadPool. Every
+// worker holds a PliEntropyEngine handle forked off the facade's engine —
+// the immutable core (relation, single-column PLIs and entropies) AND the
+// byte-budgeted partition cache are shared, so a partition materialized by
+// any worker is warm for all of them — and per-pair results are merged in
+// pair-rank order. ASMiner streams on the calling thread with the facade's
+// own engine at every thread count, stopping at the first distinct scheme
+// past max_schemas. Mined MVDs, the conflict graph, and the schemes are
+// therefore byte-identical for any thread count.
 
 #ifndef MAIMON_CORE_MAIMON_H_
 #define MAIMON_CORE_MAIMON_H_
@@ -76,12 +76,10 @@ struct MaimonConfig {
   /// Wall-clock budgets; <= 0 means unbounded.
   double mvd_budget_seconds = 0.0;
   double schema_budget_seconds = 0.0;
-  /// Worker threads for the (a,b)-pair MVD mining grid and the schema
-  /// assembly fan-out: 1 = fully sequential (no pool), 0 =
-  /// hardware_concurrency, N = exactly N. Mined output is byte-identical
-  /// for every value; only wall clock changes. (Exception: under
-  /// max_schemas truncation the *outputs* still match but engine query
-  /// counts may differ — parallel assembly workers overshoot the cap.)
+  /// Worker threads for the (a,b)-pair MVD mining grid (schema assembly
+  /// always runs on the calling thread): 1 = fully sequential (no pool),
+  /// 0 = hardware_concurrency, N = exactly N. Mined output and engine
+  /// query totals are identical for every value; only wall clock changes.
   int num_threads = 1;
   /// Observability sink for the whole pipeline (nullable; see obs/trace.h).
   /// When set, every phase emits spans and the facade folds its phase

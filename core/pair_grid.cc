@@ -3,6 +3,7 @@
 #include "core/pair_grid.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -31,37 +32,31 @@ PairGridRun ForEachPairSharded(
   run.num_pairs = static_cast<int>(pairs.size());
   run.threads_used = PairGridThreads(num_cols, num_threads);
 
-  const auto traced_fn = [&fn, sink](const InfoCalc& calc, size_t i, int a,
-                                     int b) {
-    obs::Span span(sink, "mine.pair");
-    span.Arg("a", a);
-    span.Arg("b", b);
-    fn(calc, i, a, b);
-  };
-
-  if (run.threads_used <= 1) {
-    // Inline on the caller's engine: its cache stays warm for whatever
-    // single-threaded phase follows — exactly the pre-pool behavior.
-    InfoCalc calc(engine);
-    run.completed =
-        ParallelFor(nullptr, 1, pairs.size(), deadline,
-                    [&](int, size_t i) {
-                      traced_fn(calc, i, pairs[i].first, pairs[i].second);
-                    })
-            .completed;
-    return run;
-  }
-
   // Each shard owns a forked engine handle (shared immutable core, shared
   // concurrent cache, private scratch + counters); ParallelFor guarantees
-  // one thread per shard at a time, so the handle state needs no locks.
-  std::vector<EngineShard> shards = MakeEngineShards(*engine, run.threads_used);
-  ThreadPool pool(run.threads_used, sink);
+  // one thread per shard at a time, so the handle state needs no locks. At
+  // one thread nothing is forked and the null pool runs the pairs inline,
+  // in index order, on the caller's engine: its cache stays warm for
+  // whatever single-threaded phase follows.
+  std::vector<EngineShard> shards;
+  std::unique_ptr<ThreadPool> pool;
+  if (run.threads_used > 1) {
+    shards = MakeEngineShards(*engine, run.threads_used);
+    pool = std::make_unique<ThreadPool>(run.threads_used, sink);
+  }
+  const InfoCalc caller_calc(engine);
   run.completed =
-      ParallelFor(&pool, run.threads_used, pairs.size(), deadline,
+      ParallelFor(pool.get(), run.threads_used, pairs.size(), deadline,
                   [&](int shard, size_t i) {
-                    traced_fn(*shards[static_cast<size_t>(shard)].calc, i,
-                              pairs[i].first, pairs[i].second);
+                    const InfoCalc& calc =
+                        shards.empty()
+                            ? caller_calc
+                            : *shards[static_cast<size_t>(shard)].calc;
+                    const auto [a, b] = pairs[i];
+                    obs::Span span(sink, "mine.pair");
+                    span.Arg("a", a);
+                    span.Arg("b", b);
+                    fn(calc, i, a, b);
                   })
           .completed;
   // Fold worker counters back so aggregate ablation stats add up exactly.

@@ -64,6 +64,25 @@ double FinishEntropy(size_t num_rows, size_t stripped_rows) {
 
 StrippedPartition StrippedPartition::FromColumn(
     const std::vector<uint32_t>& codes, uint32_t domain_size) {
+  if (domain_size > codes.size()) {
+    // Sparse codes (an imported CSV keeps its codes verbatim, so one code
+    // near 2^32 makes the domain that wide): count over the ranks of the
+    // distinct codes instead, so the arrays below are at most column-sized.
+    // Ranks keep ascending code order, so the partition is the one the
+    // dense relabeling builds.
+    std::vector<uint32_t> distinct(codes);
+    std::sort(distinct.begin(), distinct.end());
+    distinct.erase(std::unique(distinct.begin(), distinct.end()),
+                   distinct.end());
+    std::vector<uint32_t> ranks(codes.size());
+    for (size_t r = 0; r < codes.size(); ++r) {
+      ranks[r] = static_cast<uint32_t>(
+          std::lower_bound(distinct.begin(), distinct.end(), codes[r]) -
+          distinct.begin());
+    }
+    return FromColumn(ranks, static_cast<uint32_t>(distinct.size()));
+  }
+
   StrippedPartition out;
   out.num_rows_ = codes.size();
 

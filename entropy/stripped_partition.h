@@ -56,7 +56,9 @@ class StrippedPartition {
   StrippedPartition() = default;
 
   /// Builds the single-attribute partition from a dictionary-encoded column
-  /// (counting sort over the domain — no hashing).
+  /// (counting sort over the domain — no hashing). A domain wider than the
+  /// column is counted over the ranks of the distinct codes instead, so
+  /// memory stays linear in the rows for any code range.
   static StrippedPartition FromColumn(const std::vector<uint32_t>& codes,
                                       uint32_t domain_size);
 

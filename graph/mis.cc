@@ -8,17 +8,14 @@ namespace maimon {
 namespace {
 
 // Maximal independent sets of G are maximal cliques of the complement.
-// Tomita-style Bron–Kerbosch with pivoting over complement adjacency. One
-// walker per (branch, thread): it owns the mutable recursion state
-// (current_) while reading the decomposition's shared adjacency table.
-class BranchWalker {
+// Tomita-style Bron–Kerbosch with pivoting over complement adjacency. The
+// walker owns the recursion state (current_) and reads the adjacency table.
+class Walker {
  public:
-  BranchWalker(const std::vector<VertexSet>& comp_adj, int n,
-               const std::function<bool(const VertexSet&)>& emit,
-               const Deadline* deadline)
+  Walker(const std::vector<VertexSet>& comp_adj, int n,
+         const std::function<bool(const VertexSet&)>& emit,
+         const Deadline* deadline)
       : comp_adj_(&comp_adj), emit_(&emit), deadline_(deadline), current_(n) {}
-
-  VertexSet* current() { return &current_; }
 
   // Returns false to propagate an early stop from the callback or the
   // deadline (polled per node: gaps between emissions can be exponential).
@@ -68,67 +65,28 @@ class BranchWalker {
 
 }  // namespace
 
-MisDecomposition::MisDecomposition(const Graph& graph)
-    : n_(graph.NumVertices()) {
-  comp_adj_.reserve(static_cast<size_t>(n_));
-  for (int v = 0; v < n_; ++v) {
-    VertexSet row(n_);
-    for (int u = 0; u < n_; ++u) {
-      if (u != v && !graph.HasEdge(u, v)) row.Add(u);
-    }
-    comp_adj_.push_back(std::move(row));
-  }
-  if (n_ == 0) return;
-
-  // The root call of the sequential recursion, unrolled: pivot over the
-  // full P (X is empty at the root), then one branch per candidate, each
-  // capturing the (P, X) state the sequential loop would recurse with.
-  VertexSet p(n_), x(n_);
-  for (int v = 0; v < n_; ++v) p.Add(v);
-  int pivot = -1, best = -1;
-  p.ForEach([&](int u) {
-    const int score = comp_adj_[static_cast<size_t>(u)].CountIntersect(p);
-    if (score > best) {
-      best = score;
-      pivot = u;
-    }
-  });
-  VertexSet candidates = p;
-  if (pivot >= 0) candidates.MinusWith(comp_adj_[static_cast<size_t>(pivot)]);
-
-  for (int v : candidates.ToVector()) {
-    const VertexSet& nv = comp_adj_[static_cast<size_t>(v)];
-    VertexSet p2 = p, x2 = x;
-    p2.IntersectWith(nv);
-    x2.IntersectWith(nv);
-    branches_.push_back(Branch{v, std::move(p2), std::move(x2)});
-    p.Remove(v);
-    x.Add(v);
-  }
-}
-
-bool MisDecomposition::EnumerateBranch(
-    size_t b, const std::function<bool(const VertexSet&)>& emit,
-    const Deadline* deadline) const {
-  const Branch& branch = branches_[b];
-  BranchWalker walker(comp_adj_, n_, emit, deadline);
-  walker.current()->Add(branch.vertex);
-  // Copies: Expand mutates its P/X while the decomposition stays shared.
-  return walker.Expand(branch.p, branch.x);
-}
-
 bool EnumerateMaximalIndependentSets(
     const Graph& graph, const std::function<bool(const VertexSet&)>& emit,
     const Deadline* deadline) {
-  if (graph.NumVertices() == 0) {
+  const int n = graph.NumVertices();
+  if (n == 0) {
     return emit(VertexSet(0));
   }
   if (DeadlineExpired(deadline)) return false;
-  MisDecomposition decomp(graph);
-  for (size_t b = 0; b < decomp.NumBranches(); ++b) {
-    if (!decomp.EnumerateBranch(b, emit, deadline)) return false;
+  std::vector<VertexSet> comp_adj;
+  comp_adj.reserve(static_cast<size_t>(n));
+  for (int v = 0; v < n; ++v) {
+    VertexSet row(n);
+    for (int u = 0; u < n; ++u) {
+      if (u != v && !graph.HasEdge(u, v)) row.Add(u);
+    }
+    comp_adj.push_back(std::move(row));
   }
-  return true;
+  // One recursion from the root: P = all vertices, X = ∅.
+  VertexSet all(n);
+  for (int v = 0; v < n; ++v) all.Add(v);
+  Walker walker(comp_adj, n, emit, deadline);
+  return walker.Expand(std::move(all), VertexSet(n));
 }
 
 }  // namespace maimon

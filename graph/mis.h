@@ -2,9 +2,11 @@
 //
 // Maximal-independent-set enumeration (Theorem 7.3's substrate). VertexSet
 // is a dynamic bitset because the conflict graphs ASMiner builds routinely
-// exceed 64 vertices (one vertex per mined MVD). Enumeration is
-// Bron–Kerbosch with pivoting on the complement graph; the callback returns
-// false to stop early (streaming / first-k consumption).
+// exceed 64 vertices (one vertex per mined MVD). Enumeration is one
+// Bron–Kerbosch recursion with pivoting on the complement graph, run on the
+// calling thread: the emission order depends on the graph alone, and the
+// callback returns false to stop early (streaming / first-k consumption),
+// so a consumer that stops at its k-th set has done no work past it.
 
 #ifndef MAIMON_GRAPH_MIS_H_
 #define MAIMON_GRAPH_MIS_H_
@@ -126,43 +128,6 @@ class Graph {
 bool EnumerateMaximalIndependentSets(
     const Graph& graph, const std::function<bool(const VertexSet&)>& emit,
     const Deadline* deadline = nullptr);
-
-/// The root level of the Bron–Kerbosch recursion, split into independent
-/// branches — the parallel decomposition schema assembly fans out over.
-/// Branch b covers exactly the maximal independent sets containing root
-/// candidate v_b but none of v_0..v_{b-1}: the branches partition the MIS
-/// space, and concatenating branch 0, 1, ... reproduces the emission order
-/// of EnumerateMaximalIndependentSets exactly (the sequential enumerator
-/// is implemented as that very loop). The complement-adjacency table is
-/// built once and shared read-only: EnumerateBranch is const and
-/// thread-safe, so distinct branches may be walked concurrently.
-class MisDecomposition {
- public:
-  explicit MisDecomposition(const Graph& graph);
-
-  /// Root branches, in canonical order. Zero iff the graph has no
-  /// vertices (the empty graph's single empty MIS is the caller's special
-  /// case, as in EnumerateMaximalIndependentSets).
-  size_t NumBranches() const { return branches_.size(); }
-
-  /// Walks branch `b`, emitting its maximal independent sets in the
-  /// sequential order. Returns false iff stopped early by the callback or
-  /// the deadline.
-  bool EnumerateBranch(size_t b,
-                       const std::function<bool(const VertexSet&)>& emit,
-                       const Deadline* deadline = nullptr) const;
-
- private:
-  struct Branch {
-    int vertex;   // the root candidate this branch commits to
-    VertexSet p;  // P ∩ N̄(vertex) at the root
-    VertexSet x;  // X ∩ N̄(vertex) at the root
-  };
-
-  int n_ = 0;
-  std::vector<VertexSet> comp_adj_;  // complement adjacency, shared read-only
-  std::vector<Branch> branches_;
-};
 
 }  // namespace maimon
 

@@ -91,37 +91,32 @@ RankResult RankSchemes(const Relation& relation,
   const int threads = std::min<int>(
       ResolveNumThreads(options.num_threads),
       static_cast<int>(std::max<size_t>(schemes.size(), 1)));
+  // Each shard scores on a forked engine handle (shared immutable core,
+  // shared cache) — entropies are exact regardless of cache state, so the
+  // per-scheme reports are identical to the caller's own. At one thread,
+  // or for an oracle that is not a PLI engine, nothing is forked and the
+  // null pool scores inline on the caller's oracle.
   auto* pli = dynamic_cast<PliEntropyEngine*>(oracle.engine());
-  bool completed = true;
+  std::vector<EngineShard> shards;
+  std::unique_ptr<ThreadPool> pool;
   if (threads > 1 && pli != nullptr) {
-    // Each shard scores on a forked engine handle (shared immutable core,
-    // shared cache) — entropies are exact regardless of cache state, so the
-    // per-scheme reports are identical to the inline path's.
-    std::vector<EngineShard> shards = MakeEngineShards(*pli, threads);
-    ThreadPool pool(threads, options.sink);
-    completed = ParallelFor(&pool, threads, schemes.size(), &deadline,
-                            [&](int shard, size_t i) {
-                              obs::Span span(options.sink, "rank.score");
-                              span.Arg("scheme", i);
-                              scored_by_index[i] = ScoreOne(
-                                  schemes[i],
-                                  *shards[static_cast<size_t>(shard)].calc,
-                                  &labels);
-                              done[i] = 1;
-                            })
-                    .completed;
-    for (const EngineShard& shard : shards) pli->MergeStats(*shard.engine);
-  } else {
-    completed = ParallelFor(nullptr, 1, schemes.size(), &deadline,
-                            [&](int, size_t i) {
-                              obs::Span span(options.sink, "rank.score");
-                              span.Arg("scheme", i);
-                              scored_by_index[i] =
-                                  ScoreOne(schemes[i], oracle, &labels);
-                              done[i] = 1;
-                            })
-                    .completed;
+    shards = MakeEngineShards(*pli, threads);
+    pool = std::make_unique<ThreadPool>(threads, options.sink);
   }
+  const bool completed =
+      ParallelFor(pool.get(), threads, schemes.size(), &deadline,
+                  [&](int shard, size_t i) {
+                    const InfoCalc& calc =
+                        shards.empty()
+                            ? oracle
+                            : *shards[static_cast<size_t>(shard)].calc;
+                    obs::Span span(options.sink, "rank.score");
+                    span.Arg("scheme", i);
+                    scored_by_index[i] = ScoreOne(schemes[i], calc, &labels);
+                    done[i] = 1;
+                  })
+          .completed;
+  for (const EngineShard& shard : shards) pli->MergeStats(*shard.engine);
   if (!completed) {
     result.status = Status::DeadlineExceeded("scheme ranking budget");
   }

@@ -4,10 +4,11 @@
 
 Compares freshly generated fig13/fig14/fig15 JSONL rows against the
 committed BENCH_*.json baselines and fails (exit 1) when any comparable
-row's wall time regressed by more than the threshold. This is the
-repo-level guard that keeps the perf story monotone across PRs: the
-committed snapshots are produced with the exact CI bench-smoke flags, so
-the CI smoke output is directly comparable.
+row's wall time regressed by more than the threshold, or when a completed
+row's deterministic work count changed. This is the repo-level guard that
+keeps the perf story monotone across PRs: the committed snapshots are
+produced with the exact CI bench-smoke flags, so the CI smoke output is
+directly comparable.
 
 Usage:
   bench_trend.py [--threshold 0.25] [--min-seconds 0.05] \
@@ -30,6 +31,16 @@ failure, whatever the seconds say. Rows present on only one side are
 reported but do not fail the gate (bench configs legitimately drift;
 snapshot-schema drift is caught by the CI key-set check).
 
+Work counts are gated exactly. On every matched pair where neither side
+timed out, the count columns (minseps, oracle_calls, seeds, expansions,
+entropy_queries — the fig13/fig14 rows carry them) must be equal; any
+difference fails the gate, whatever the seconds say and below the noise
+floor too. A completed row's counts are a pure function of the code and
+the row's inputs, so a difference is a change in what the miner does,
+which is either a bug or a reason to re-record the snapshot. A row that
+timed out on either side stops at a timing-dependent point, so its counts
+are not compared.
+
 Timing comparisons assume both sides ran on the same class of machine —
 true for the committed-snapshot flow (snapshots are refreshed from the
 same tree that runs the smoke). Widen --threshold when comparing across
@@ -42,6 +53,9 @@ import sys
 
 # Columns that identify a row across runs. Everything else is a metric.
 ID_KEYS = ("fig", "dataset", "rows", "cols", "eps", "threads", "walk")
+# Deterministic work counts, compared exactly on completed rows.
+COUNT_KEYS = ("minseps", "oracle_calls", "seeds", "expansions",
+              "entropy_queries")
 
 
 def load_rows(path):
@@ -86,18 +100,26 @@ def compare_pair(base_path, fresh_path, threshold, min_seconds):
     base = index_rows(base_path, load_rows(base_path))
     fresh = index_rows(fresh_path, load_rows(fresh_path))
 
-    compared = skipped = untimed = 0
+    compared = skipped = untimed = counted = 0
     failures = []
     for key, b in base.items():
         f = fresh.get(key)
         if f is None:
             print(f"  [only-baseline] {dict(key)}")
             continue
+        if (not b.get("timed_out") and not f.get("timed_out")
+                and any(k in b for k in COUNT_KEYS)):
+            counted += 1
+            for k in COUNT_KEYS:
+                if b.get(k) != f.get(k):
+                    failures.append(
+                        (key, "COUNT", f"{k} {b.get(k)} -> {f.get(k)}"))
         if "seconds" not in b or "seconds" not in f:
             untimed += 1
             continue
+        timing = f"{b['seconds']:.3f}s -> {f['seconds']:.3f}s"
         if f.get("timed_out") and not b.get("timed_out"):
-            failures.append((key, b, f, "newly timed out"))
+            failures.append((key, "REGRESSION", f"{timing} (newly timed out)"))
             continue
         if b.get("timed_out") or b["seconds"] < min_seconds:
             skipped += 1
@@ -106,17 +128,16 @@ def compare_pair(base_path, fresh_path, threshold, min_seconds):
         limit = b["seconds"] * (1.0 + threshold)
         if f["seconds"] > limit:
             pct = (f["seconds"] / b["seconds"] - 1.0) * 100.0
-            failures.append((key, b, f, f"+{pct:.0f}%"))
+            failures.append((key, "REGRESSION", f"{timing} (+{pct:.0f}%)"))
     for key in fresh:
         if key not in base:
             print(f"  [only-fresh] {dict(key)}")
 
     print(f"  {base_path} vs {fresh_path}: {compared} compared, "
           f"{skipped} skipped (timed-out/noise-floor), {untimed} untimed, "
-          f"{len(failures)} regression(s)")
-    for key, b, f, why in failures:
-        print(f"  REGRESSION {dict(key)}: "
-              f"{b['seconds']:.3f}s -> {f['seconds']:.3f}s ({why})")
+          f"{counted} count-checked, {len(failures)} failure(s)")
+    for key, kind, detail in failures:
+        print(f"  {kind} {dict(key)}: {detail}")
     return failures
 
 
@@ -145,10 +166,11 @@ def main():
         failures += compare_pair(args.files[i], args.files[i + 1],
                                  args.threshold, args.min_seconds)
     if failures:
-        print(f"bench_trend: {len(failures)} wall-time regression(s) beyond "
-              f"{args.threshold:.0%}")
+        print(f"bench_trend: {len(failures)} failure(s): wall-time "
+              f"regressions beyond {args.threshold:.0%} or changed work "
+              f"counts")
         return 1
-    print("bench_trend: no wall-time regressions")
+    print("bench_trend: no wall-time regressions, no changed work counts")
     return 0
 
 

@@ -2,6 +2,7 @@
 
 #include "serve/service.h"
 
+#include <algorithm>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -153,7 +154,9 @@ void QueryService::PointLookup(const Snapshot& snap, const QueryPlan& plan,
       *snap.point_index_[static_cast<size_t>(pnode.store_index)][col];
   std::call_once(index.once, [&] {
     const std::vector<uint32_t>& column = proj.codes[col];
-    index.rows_by_value.reserve(proj.domains[col]);
+    // Codes may be sparse (domain up to 2^32 - 1): at most one key per row.
+    index.rows_by_value.reserve(
+        std::min<size_t>(proj.domains[col], column.size()));
     for (size_t r = 0; r < column.size(); ++r) {
       index.rows_by_value[column[r]].push_back(static_cast<uint32_t>(r));
     }

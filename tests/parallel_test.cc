@@ -9,9 +9,10 @@
 //     answer byte-identical entropies, and MergeStats folds the per-handle
 //     counters back exactly;
 //   * the Maimon pipeline is thread-count-invariant: mined full MVDs, the
-//     conflict graph, enumerated schemes (including the parallel MIS-branch
-//     assembly), the ranked top-k, and the Yannakakis semijoin reduction
-//     are identical at num_threads in {1, 2, 8} on planted bag-chain data.
+//     conflict graph, enumerated schemes (also when max_schemas truncates
+//     them), engine query totals, the ranked top-k, and the Yannakakis
+//     semijoin reduction are identical at num_threads in {1, 2, 8} on
+//     planted bag-chain data.
 //
 // This suite is also the ThreadSanitizer lane's target
 // (scripts/check.sh --tsan): every cross-thread interaction of the runtime
@@ -180,11 +181,8 @@ MiningFingerprint MineAt(const Relation& relation, int num_threads,
   const MvdMinerResult& mvds = maimon.MineMvds();
   CHECK(mvds.status.ok());
   CHECK(schemas.status.ok());
-  // engine_queries equality below relies on an untruncated run: under
-  // truncation the parallel assembly workers each enumerate up to the cap
-  // locally before the merge applies it globally, so they may issue more
-  // oracle queries than the sequential early-stop (outputs stay identical;
-  // TruncationIsThreadCountInvariant covers that case).
+  // The fixture must fit under the cap, so the whole scheme space is
+  // compared; TruncationIsThreadCountInvariant covers the truncated stream.
   CHECK(!schemas.truncated);
 
   MiningFingerprint fp;
@@ -293,10 +291,10 @@ TEST_CASE(RankingIsThreadCountInvariant) {
 }
 
 TEST_CASE(TruncationIsThreadCountInvariant) {
-  // With a cap small enough to truncate, the canonical merge must still
-  // reproduce the sequential prefix exactly: same schemes in the same
-  // order, same independent_sets tally at the cut, truncated flag set.
-  // (Only the oracle query count may differ — workers overshoot locally.)
+  // With a cap small enough to truncate, every thread count must stop at
+  // the same point of the scheme stream: same schemes in the same order,
+  // same independent_sets tally at the cut, truncated flag set, and the
+  // same engine query total (assembly never runs past the cap).
   const PlantedDataset d = MakePlanted(8, 3, 21, /*noise=*/0.02);
   MaimonConfig config;
   config.epsilon = 0.05;
@@ -312,6 +310,7 @@ TEST_CASE(TruncationIsThreadCountInvariant) {
     const AsMinerResult result = maimon.MineSchemas();
     CHECK(result.status.ok());
     CHECK(result.truncated);
+    CHECK_EQ(maimon.engine().NumQueries(), sequential.engine().NumQueries());
     CHECK_EQ(result.independent_sets, base.independent_sets);
     CHECK_EQ(result.schemas.size(), base.schemas.size());
     for (size_t i = 0; i < base.schemas.size(); ++i) {

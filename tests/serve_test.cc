@@ -356,32 +356,56 @@ TEST_CASE(SelectionPushdownEqualsFilterAfterJoin) {
 
 TEST_CASE(PointLookupFastPathMatchesTheGeneralPath) {
   const Fixture f = MakeChainFixture(9, 3, 9);
-  const serve::QueryService service(
-      ProjectionStore(f.data.relation, f.schema));
-  const StoredProjection& proj =
-      service.snapshot()->store().projections()[0];
-  const std::vector<int> cols = proj.attrs.ToVector();
-  for (uint32_t value = 0; value < 8; ++value) {
-    // Whole-node projection: no dedup needed on the fast path.
-    serve::Query whole;
-    whole.attrs = proj.attrs;
-    whole.selections.push_back(serve::Selection::Eq(cols[0], value));
-    // Sub-node projection: the fast path must deduplicate.
-    serve::Query narrow;
-    narrow.attrs = AttrSet::Single(cols.back());
-    narrow.selections.push_back(serve::Selection::Eq(cols[0], value));
-    for (const serve::Query& q : {whole, narrow}) {
-      const serve::QueryResult res = service.Execute(q);
-      CHECK(res.status.ok());
-      CHECK(res.point_lookup);
-      CHECK_EQ(res.plan_nodes, size_t{1});
-      CHECK_EQ(res.semijoin_passes, uint64_t{0});
-      const std::set<std::vector<uint32_t>> expect =
-          DirectAnswer(f.data.relation, q);
-      CHECK_EQ(res.rows, static_cast<uint64_t>(expect.size()));
-      const std::set<std::vector<uint32_t>> got(res.tuples.begin(),
-                                                res.tuples.end());
-      CHECK(got == expect);
+  // The same chain with the looked-up column's codes spread out so the max
+  // code is above 2^31, as a CSV with sparse codes imports: the lookup
+  // index must not size itself by that column's domain.
+  const int spread_col =
+      ProjectionStore(f.data.relation, f.schema).projections()[0].attrs.First();
+  const auto spread = [](uint32_t code) { return code * 0x20000000u + 3u; };
+  std::vector<std::vector<uint32_t>> columns;
+  std::vector<uint32_t> domains;
+  for (int c = 0; c < f.data.relation.NumCols(); ++c) {
+    columns.push_back(f.data.relation.Column(c));
+    domains.push_back(f.data.relation.DomainSize(c));
+  }
+  for (uint32_t& code : columns[static_cast<size_t>(spread_col)]) {
+    code = spread(code);
+  }
+  domains[static_cast<size_t>(spread_col)] =
+      spread(f.data.relation.DomainSize(spread_col) - 1) + 1;
+  CHECK(domains[static_cast<size_t>(spread_col)] > 2147483648u);
+  const Relation sparse(std::move(columns), std::move(domains));
+
+  for (const bool spread_codes : {false, true}) {
+    const Relation& relation = spread_codes ? sparse : f.data.relation;
+    const serve::QueryService service(ProjectionStore(relation, f.schema));
+    const StoredProjection& proj =
+        service.snapshot()->store().projections()[0];
+    const std::vector<int> cols = proj.attrs.ToVector();
+    CHECK_EQ(cols[0], spread_col);
+    for (uint32_t code = 0; code < 8; ++code) {
+      const uint32_t value = spread_codes ? spread(code) : code;
+      // Whole-node projection: no dedup needed on the fast path.
+      serve::Query whole;
+      whole.attrs = proj.attrs;
+      whole.selections.push_back(serve::Selection::Eq(cols[0], value));
+      // Sub-node projection: the fast path must deduplicate.
+      serve::Query narrow;
+      narrow.attrs = AttrSet::Single(cols.back());
+      narrow.selections.push_back(serve::Selection::Eq(cols[0], value));
+      for (const serve::Query& q : {whole, narrow}) {
+        const serve::QueryResult res = service.Execute(q);
+        CHECK(res.status.ok());
+        CHECK(res.point_lookup);
+        CHECK_EQ(res.plan_nodes, size_t{1});
+        CHECK_EQ(res.semijoin_passes, uint64_t{0});
+        const std::set<std::vector<uint32_t>> expect =
+            DirectAnswer(relation, q);
+        CHECK_EQ(res.rows, static_cast<uint64_t>(expect.size()));
+        const std::set<std::vector<uint32_t>> got(res.tuples.begin(),
+                                                  res.tuples.end());
+        CHECK(got == expect);
+      }
     }
   }
 }

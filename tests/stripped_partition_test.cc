@@ -62,6 +62,32 @@ TEST_CASE(FromColumnMatchesBruteForce) {
     // Singleton stripping: no group of size < 2 survives.
     for (size_t g = 0; g < p.NumGroups(); ++g) CHECK(p.GroupSize(g) >= 2);
   }
+
+  // Sparse codes: an imported CSV keeps its codes verbatim, so the domain
+  // can reach 2^32 - 1 over a handful of rows. The partition must be the
+  // one the dense relabeling (rank of each distinct code) builds, without
+  // domain-sized arrays.
+  const std::vector<uint32_t> sparse = {
+      4294967294u, 7u, 4294967294u, 2147483648u, 7u, 0u, 7u, 2147483648u,
+      123456789u,  4294967294u};
+  std::map<uint32_t, uint32_t> rank;
+  for (uint32_t code : sparse) rank.emplace(code, 0);
+  uint32_t next = 0;
+  for (auto& [code, r] : rank) r = next++;
+  std::vector<uint32_t> dense;
+  for (uint32_t code : sparse) dense.push_back(rank[code]);
+  const StrippedPartition p =
+      StrippedPartition::FromColumn(sparse, 4294967295u);
+  const StrippedPartition q = StrippedPartition::FromColumn(dense, next);
+  CHECK_EQ(PartitionGroupSizes(p), BruteGroupSizes({&sparse}, sparse.size()));
+  CHECK_EQ(PartitionGroupSizes(p), (std::vector<size_t>{2, 3, 3}));
+  CHECK_EQ(p.NumGroups(), q.NumGroups());
+  for (size_t g = 0; g < p.NumGroups(); ++g) {
+    CHECK(std::equal(p.GroupBegin(g), p.GroupEnd(g), q.GroupBegin(g),
+                     q.GroupEnd(g)));
+  }
+  CHECK_EQ(p.Entropy(), q.Entropy());  // bit-identical
+  CHECK_EQ(p.MemoryBytes(), q.MemoryBytes());
 }
 
 TEST_CASE(IntersectMatchesBruteForceAndRefines) {
