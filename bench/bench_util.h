@@ -179,7 +179,8 @@ inline void Rule(int width = 78) {
 /// the legend stays consistent: " TL" = a phase blew its budget (paper's
 /// red clock), " cap" = the max_schemas ceiling cut enumeration short,
 /// " -Nmvd" = N mined MVDs were not admitted to the conflict graph
-/// (max_conflict_mvds), so the row under-covers the scheme space. Markers
+/// (max_conflict_mvds), so the row under-covers the scheme space — a lower
+/// bound, since mining stops one MVD past that cap. Markers
 /// are additive — several can fire on one row. `extra_deadline` lets the
 /// caller fold in a downstream phase's expiry (e.g. the ranker's).
 inline std::string SchemeRunMarker(const AsMinerResult& result,
@@ -243,6 +244,8 @@ inline TimedMvds MineMvdsTimed(const Relation& relation, double epsilon,
   config.epsilon = epsilon;
   config.mvd_budget_seconds = budget_seconds;
   config.mvd.max_full_mvds_per_separator = k_per_separator;
+  // Report every full MVD: no conflict-graph cap, so no early mining stop.
+  config.schemas.max_conflict_mvds = 0;
   config.num_threads = num_threads;
   config.sink = sink;
   Maimon maimon(relation, config);
@@ -289,14 +292,15 @@ inline PairGridMinSeps MineAllMinSeps(
   Stopwatch watch;
   const PairGridRun run = ForEachPairSharded(
       &engine, n, num_threads, &deadline,
-      [&](const InfoCalc& calc, size_t i, int a, int b) {
+      [&](const PairTask& task) {
         obs::Span span(sink, "minsep.walk");
-        span.Arg("a", a);
-        span.Arg("b", b);
-        FullMvdSearch search(calc, eps, &deadline);
-        per_pair[i] = MineMinSeps(&search, universe, a, b, &deadline, options);
+        span.Arg("a", task.a);
+        span.Arg("b", task.b);
+        FullMvdSearch search(task.calc, eps, &task.deadline);
+        per_pair[task.index] = MineMinSeps(&search, universe, task.a, task.b,
+                                           &task.deadline, options);
       },
-      sink);
+      /*merge=*/nullptr, sink);
 
   std::unordered_set<AttrSet, AttrSetHash> seps;
   for (const MinSepsResult& result : per_pair) {

@@ -2,6 +2,8 @@
 
 #include "core/maimon.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -26,25 +28,28 @@ struct PairMineResult {
 };
 
 // Mines one attribute pair: minimal separators, then full-MVD expansion
-// per separator. Pure function of (relation, config, a, b) — entropy
-// values are exact regardless of cache state, so every thread count mines
-// the same set. `calc` must be owned by the calling thread.
-PairMineResult MineOnePair(const InfoCalc& calc, const MaimonConfig& config,
-                           AttrSet universe, int a, int b, int pair_index,
-                           int num_pairs, const Deadline& global) {
+// per separator, stopping once the pair holds `max_mvds`. Pure function of
+// (relation, config, a, b, max_mvds) — entropy values are exact regardless
+// of cache state, so every thread count mines the same list, and a smaller
+// `max_mvds` yields a prefix of it. `task.calc` must be owned by the
+// calling thread.
+PairMineResult MineOnePair(const PairTask& task, const MaimonConfig& config,
+                           AttrSet universe, int num_pairs, size_t max_mvds) {
   PairMineResult out;
+  const int a = task.a;
+  const int b = task.b;
   // Optional per-pair slice of the remaining global budget, so one
   // explosive pair cannot blank every pair after it. Under the pool the
   // slice is computed from the budget remaining when the pair is claimed —
   // the same greedy split the sequential walk applies.
-  Deadline slice = global;
+  Deadline slice = task.deadline;
   if (config.mvd.slice_budget_across_pairs && config.mvd_budget_seconds > 0) {
-    const int pairs_left = num_pairs - pair_index;
-    slice = Deadline::After(global.RemainingSeconds() /
-                            static_cast<double>(pairs_left));
+    const int pairs_left = num_pairs - static_cast<int>(task.index);
+    slice = task.deadline.Slice(task.deadline.RemainingSeconds() /
+                                static_cast<double>(pairs_left));
   }
 
-  FullMvdSearch search(calc, config.epsilon, &slice);
+  FullMvdSearch search(task.calc, config.epsilon, &slice);
   MinSepsResult seps;
   {
     obs::Span span(config.sink, "minsep.walk");
@@ -60,9 +65,12 @@ PairMineResult MineOnePair(const InfoCalc& calc, const MaimonConfig& config,
   {
     obs::Span span(config.sink, "mvd.expand");
     for (AttrSet s : seps.separators) {
+      if (out.mvds.size() >= max_mvds) break;
       out.separators.push_back(s);
-      for (Mvd& mvd : search.Find(s, universe, a, b,
-                                  config.mvd.max_full_mvds_per_separator,
+      // Find's DFS order makes a capped search a prefix of the uncapped one.
+      const size_t room = std::min(config.mvd.max_full_mvds_per_separator,
+                                   max_mvds - out.mvds.size());
+      for (Mvd& mvd : search.Find(s, universe, a, b, room,
                                   /*optimized=*/true)) {
         out.mvds.push_back(std::move(mvd));
       }
@@ -75,6 +83,7 @@ PairMineResult MineOnePair(const InfoCalc& calc, const MaimonConfig& config,
     span.Arg("b", b);
     span.Arg("mvds", out.mvds.size());
   }
+  task.span.Arg("mvds", out.mvds.size());
   return out;
 }
 
@@ -100,14 +109,14 @@ const MvdMinerResult& Maimon::MineMvds() {
   const int num_pairs = n * (n - 1) / 2;
   std::vector<PairMineResult> per_pair(static_cast<size_t>(num_pairs));
 
-  const PairGridRun run = ForEachPairSharded(
-      engine_.get(), n, config_.num_threads, &global,
-      [&](const InfoCalc& calc, size_t i, int a, int b) {
-        per_pair[i] = MineOnePair(calc, config_, universe, a, b,
-                                  static_cast<int>(i), num_pairs, global);
-      },
-      config_.sink);
-  const bool completed = run.completed;
+  // Assembly admits only the first max_conflict_mvds distinct MVDs, so the
+  // grid stops once the merged prefix holds one more than that: the extra
+  // one shows that something was left out (AsMinerResult::mvds_dropped).
+  // A pair's MVDs are duplicate-free (distinct separators are distinct
+  // keys), so capping each pair at the same count never changes the
+  // admitted prefix.
+  const size_t cap = config_.schemas.max_conflict_mvds;
+  const size_t stop_at = cap > 0 ? cap + 1 : SIZE_MAX;
 
   // Deterministic merge: pairs in (a, b) lexicographic rank order, dedup by
   // first occurrence — byte-identical to the sequential walk's output.
@@ -116,17 +125,26 @@ const MvdMinerResult& Maimon::MineMvds() {
   MinSepsStats walk_stats;
   std::unordered_set<AttrSet, AttrSetHash> sep_set;
   std::unordered_set<Mvd, MvdHash> mvd_set;
-  for (PairMineResult& pr : per_pair) {
-    for (AttrSet s : pr.separators) {
-      if (sep_set.insert(s).second) result.separators.push_back(s);
-    }
-    for (Mvd& mvd : pr.mvds) {
-      if (mvd_set.insert(mvd).second) result.mvds.push_back(std::move(mvd));
-    }
-    walk_stats.Accumulate(pr.min_sep_stats);
-    if (result.status.ok() && !pr.status.ok()) result.status = pr.status;
-  }
-  if (!completed && result.status.ok()) {
+  const PairGridRun run = ForEachPairSharded(
+      engine_.get(), n, config_.num_threads, &global,
+      [&](const PairTask& task) {
+        per_pair[task.index] =
+            MineOnePair(task, config_, universe, num_pairs, stop_at);
+      },
+      [&](size_t i) {
+        PairMineResult pr = std::move(per_pair[i]);
+        for (AttrSet s : pr.separators) {
+          if (sep_set.insert(s).second) result.separators.push_back(s);
+        }
+        for (Mvd& mvd : pr.mvds) {
+          if (mvd_set.insert(mvd).second) result.mvds.push_back(std::move(mvd));
+        }
+        walk_stats.Accumulate(pr.min_sep_stats);
+        if (result.status.ok() && !pr.status.ok()) result.status = pr.status;
+        return result.mvds.size() < stop_at;
+      },
+      config_.sink);
+  if (!run.completed && result.status.ok()) {
     result.status = Status::DeadlineExceeded("MVD mining budget");
   }
 
@@ -135,14 +153,21 @@ const MvdMinerResult& Maimon::MineMvds() {
   phase.Count("minsep.expansions", walk_stats.expansions);
   phase.Count("minsep.oracle_calls", walk_stats.oracle_calls);
   phase.Count("mine.pairs", static_cast<uint64_t>(num_pairs));
+  phase.Count("mine.pairs_merged", static_cast<uint64_t>(run.pairs_merged));
   phase.Count("mine.separators", result.separators.size());
   phase.Count("mine.mvds", result.mvds.size());
   metrics_.Merge(phase);
   if (config_.sink != nullptr) config_.sink->Fold(phase);
 
   mine_span.Arg("pairs", num_pairs);
+  mine_span.Arg("pairs_merged", run.pairs_merged);
   mine_span.Arg("mvds", result.mvds.size());
   mine_span.Arg("threads", run.threads_used);
+  // Why the grid ended: every pair merged, the conflict-MVD cap reached
+  // (the last merged pair is where), or the mining budget.
+  mine_span.Arg("stop", run.stopped     ? "max_conflict_mvds"
+                        : run.completed ? "none"
+                                        : "deadline");
   return result;
 }
 

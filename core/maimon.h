@@ -5,6 +5,9 @@
 //
 //   MineMvds()    — MVDMiner: per attribute pair, enumerate minimal
 //                   separators, then expand each into full MVDs (Sec. 5/6).
+//                   Mines only what assembly can admit: with
+//                   max_conflict_mvds > 0 the pair grid stops once its
+//                   merged prefix holds one MVD more than that cap.
 //   MineSchemas() — ASMiner (Sec. 7): build the conflict graph over the
 //                   mined full MVDs (scheme/conflict_graph.h), stream its
 //                   maximal independent sets (graph/mis.h), and assemble
@@ -19,10 +22,13 @@
 // the immutable core (relation, single-column PLIs and entropies) AND the
 // byte-budgeted partition cache are shared, so a partition materialized by
 // any worker is warm for all of them — and per-pair results are merged in
-// pair-rank order. ASMiner streams on the calling thread with the facade's
-// own engine at every thread count, stopping at the first distinct scheme
-// past max_schemas. Mined MVDs, the conflict graph, and the schemes are
-// therefore byte-identical for any thread count.
+// pair-rank order as each prefix of the grid completes; when a cap stop
+// fires, in-flight pairs past the prefix are cancelled and discarded, and
+// only the merged pairs' engine counters are kept. ASMiner streams on the
+// calling thread with the facade's own engine at every thread count,
+// stopping at the first distinct scheme past max_schemas. Mined MVDs, the
+// conflict graph, the schemes and engine query totals are therefore
+// byte-identical for any thread count.
 
 #ifndef MAIMON_CORE_MAIMON_H_
 #define MAIMON_CORE_MAIMON_H_
@@ -64,9 +70,12 @@ struct SchemaMinerOptions {
   /// coarser schemes.
   bool emit_intermediate_schemes = true;
   /// Cap on mined MVDs admitted as conflict-graph vertices, in mined
-  /// order; 0 means all. The default bounds the quadratic graph build (and
-  /// the MIS enumerator's n^2-bit complement adjacency) on very wide
-  /// high-eps runs, where mining can produce 10^5+ full MVDs.
+  /// order. It also bounds mining: MineMvds() stops the pair grid once the
+  /// merged prefix holds max_conflict_mvds + 1 distinct MVDs (see there).
+  /// 0 means admit, and mine, everything — callers that report every full
+  /// MVD (fig18, Table 2) set it. The default bounds the quadratic graph
+  /// build (and the MIS enumerator's n^2-bit complement adjacency) on very
+  /// wide high-eps runs, where mining can produce 10^5+ full MVDs.
   size_t max_conflict_mvds = 512;
 };
 
@@ -93,8 +102,10 @@ struct MaimonConfig {
 };
 
 struct MvdMinerResult {
-  std::vector<AttrSet> separators;  // distinct minimal separators
-  std::vector<Mvd> mvds;            // distinct full MVDs
+  std::vector<AttrSet> separators;  // distinct minimal separators expanded
+  std::vector<Mvd> mvds;            // distinct full MVDs (mined prefix)
+  /// kDeadlineExceeded when the mining budget cut the grid short; a stop at
+  /// max_conflict_mvds keeps it OK.
   Status status;
 
   size_t NumSeparators() const { return separators.size(); }
@@ -115,7 +126,9 @@ struct AsMinerResult {
   size_t conflict_vertices = 0;
   size_t conflict_edges = 0;
   /// Mined MVDs not admitted as vertices (max_conflict_mvds cap). Non-zero
-  /// means scheme coverage is incomplete even if enumeration finished.
+  /// means scheme coverage is incomplete even if enumeration finished. A
+  /// lower bound: mining stops once it holds one MVD past the cap, so MVDs
+  /// never mined are not counted.
   size_t mvds_dropped = 0;
   /// True when enumeration stopped at max_schemas (status stays OK: the cap
   /// is a caller choice, unlike a blown deadline).
@@ -128,7 +141,13 @@ class Maimon {
   Maimon(const Relation& relation, MaimonConfig config);
 
   /// Mines (once) and returns the cached result; the reference stays valid
-  /// for the lifetime of this Maimon.
+  /// for the lifetime of this Maimon. With schemas.max_conflict_mvds = cap
+  /// > 0, mining stops early: pairs are merged in canonical order as their
+  /// prefix completes, each pair expands at most cap + 1 MVDs, and the grid
+  /// stops after the first pair that brings the merged list to cap + 1
+  /// distinct MVDs. The result is then the mined prefix: the first cap MVDs
+  /// (the admitted vertices) equal those of a cap = 0 run, and the status
+  /// stays OK — a cap stop is not a deadline. cap = 0 mines every pair.
   const MvdMinerResult& MineMvds();
   /// Runs MineMvds() first (if not already run), then enumerates schemas.
   AsMinerResult MineSchemas();
@@ -145,7 +164,8 @@ class Maimon {
   const MaimonConfig& config() const { return config_; }
 
   /// The facade's own metrics registry: every phase folds its counters
-  /// here (mining under `minsep.*` / `mine.*`, assembly under
+  /// here (mining under `minsep.*` / `mine.*` — `mine.pairs_merged` counts
+  /// the pairs kept before a cap stop, `mine.pairs` the grid — assembly under
   /// `assemble.*`) whether or not a sink is configured. Deterministic —
   /// totals are identical at any thread count.
   const obs::MetricsRegistry& metrics() const { return metrics_; }

@@ -3,7 +3,11 @@
 #include "core/pair_grid.h"
 
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -18,9 +22,8 @@ int PairGridThreads(int num_cols, int num_threads) {
 
 PairGridRun ForEachPairSharded(
     PliEntropyEngine* engine, int num_cols, int num_threads,
-    const Deadline* deadline,
-    const std::function<void(const InfoCalc&, size_t, int, int)>& fn,
-    obs::Sink* sink) {
+    const Deadline* deadline, const std::function<void(const PairTask&)>& fn,
+    const std::function<bool(size_t)>& merge, obs::Sink* sink) {
   std::vector<std::pair<int, int>> pairs;
   pairs.reserve(static_cast<size_t>(num_cols) * static_cast<size_t>(num_cols) /
                 2);
@@ -32,35 +35,99 @@ PairGridRun ForEachPairSharded(
   run.num_pairs = static_cast<int>(pairs.size());
   run.threads_used = PairGridThreads(num_cols, num_threads);
 
+  // A merge stop cancels through the deadline every walk and expansion
+  // already polls, and the same poll stops ParallelFor's claims.
+  std::atomic<bool> stop{false};
+  const Deadline run_deadline =
+      (deadline != nullptr ? *deadline : Deadline::Infinite())
+          .CancelledBy(&stop);
+
   // Each shard owns a forked engine handle (shared immutable core, shared
   // concurrent cache, private scratch + counters); ParallelFor guarantees
   // one thread per shard at a time, so the handle state needs no locks. At
   // one thread nothing is forked and the null pool runs the pairs inline,
   // in index order, on the caller's engine: its cache stays warm for
-  // whatever single-threaded phase follows.
+  // whatever single-threaded phase follows, and no pair past a stop runs.
   std::vector<EngineShard> shards;
   std::unique_ptr<ThreadPool> pool;
   if (run.threads_used > 1) {
     shards = MakeEngineShards(*engine, run.threads_used);
     pool = std::make_unique<ThreadPool>(run.threads_used, sink);
   }
+
+  // Per-pair bookkeeping, indexed by pair rank. A forked shard's counter
+  // delta is kept per pair so only merged pairs are folded back. A span is
+  // ended when its pair's work ends but recorded only once the pair's
+  // outcome is known, which may be after its worker has moved on.
+  enum class PairState : uint8_t { kUnclaimed, kSkipped, kRan };
+  std::vector<PairState> state(pairs.size(), PairState::kUnclaimed);
+  std::vector<PliEntropyEngine::Stats> deltas(shards.empty() ? 0
+                                                             : pairs.size());
+  std::vector<std::optional<obs::Span>> spans(sink != nullptr ? pairs.size()
+                                                              : 0);
+  std::mutex merge_mu;
+  size_t merged = 0;  // pairs [0, merged) are merged; guarded by merge_mu
+
   const InfoCalc caller_calc(engine);
-  run.completed =
-      ParallelFor(pool.get(), run.threads_used, pairs.size(), deadline,
-                  [&](int shard, size_t i) {
-                    const InfoCalc& calc =
-                        shards.empty()
-                            ? caller_calc
-                            : *shards[static_cast<size_t>(shard)].calc;
-                    const auto [a, b] = pairs[i];
-                    obs::Span span(sink, "mine.pair");
-                    span.Arg("a", a);
-                    span.Arg("b", b);
-                    fn(calc, i, a, b);
-                  })
+  const bool claimed_all =
+      ParallelFor(
+          pool.get(), run.threads_used, pairs.size(), &run_deadline,
+          [&](int shard, size_t i) {
+            const auto [a, b] = pairs[i];
+            obs::Span untraced(nullptr, "mine.pair");
+            obs::Span& span =
+                spans.empty() ? untraced : spans[i].emplace(sink, "mine.pair");
+            span.Arg("a", a);
+            span.Arg("b", b);
+            if (stop.load(std::memory_order_relaxed)) {
+              span.End();
+              std::lock_guard<std::mutex> lock(merge_mu);
+              state[i] = PairState::kSkipped;
+              return;
+            }
+            EngineShard* worker =
+                shards.empty() ? nullptr : &shards[static_cast<size_t>(shard)];
+            PliEntropyEngine::Stats before;
+            if (worker != nullptr) before = worker->engine->stats();
+            fn(PairTask{worker != nullptr ? *worker->calc : caller_calc, i, a,
+                        b, run_deadline, span});
+            if (worker != nullptr) {
+              deltas[i] = worker->engine->stats();
+              deltas[i].SubtractCounters(before);
+            }
+            span.End();
+
+            // Extend the merged prefix as far as completed pairs reach. A
+            // merge that says stop keeps its own pair and cancels the rest.
+            std::lock_guard<std::mutex> lock(merge_mu);
+            state[i] = PairState::kRan;
+            while (!run.stopped && merged < pairs.size() &&
+                   state[merged] == PairState::kRan) {
+              const bool go_on = !merge || merge(merged);
+              ++merged;
+              if (!go_on) {
+                run.stopped = true;
+                stop.store(true, std::memory_order_relaxed);
+              }
+            }
+          })
           .completed;
-  // Fold worker counters back so aggregate ablation stats add up exactly.
-  for (const EngineShard& shard : shards) engine->MergeStats(*shard.engine);
+  // Join the workers before closing the spans below: each exiting worker
+  // releases its lane, so recording into it from this thread is safe.
+  pool.reset();
+
+  run.pairs_merged = static_cast<int>(merged);
+  run.completed = claimed_all || run.stopped;
+  for (size_t i = 0; i < deltas.size() && i < merged; ++i) {
+    engine->MergeStats(deltas[i]);
+  }
+  for (size_t i = 0; i < spans.size(); ++i) {
+    if (!spans[i].has_value()) continue;  // never claimed
+    spans[i]->Arg("outcome", i < merged                           ? "merged"
+                             : state[i] == PairState::kSkipped ? "skipped"
+                                                               : "cancelled");
+    spans[i].reset();
+  }
   return run;
 }
 

@@ -88,6 +88,14 @@ class PliCache {
       insertions += other.insertions;
       evictions += other.evictions;
     }
+    /// The inverse: takes an earlier reading of the same counters out, so
+    /// `later.SubtractCounters(earlier)` is the work done in between.
+    void SubtractCounters(const Stats& earlier) {
+      hits -= earlier.hits;
+      misses -= earlier.misses;
+      insertions -= earlier.insertions;
+      evictions -= earlier.evictions;
+    }
   };
 
   /// `num_stripes <= 0` picks the default (16). Use 1 stripe to get exact

@@ -96,9 +96,13 @@ std::unique_ptr<PliEntropyEngine> PliEntropyEngine::Fork() const {
 }
 
 void PliEntropyEngine::MergeStats(const PliEntropyEngine& worker) {
+  MergeStats(worker.stats());
+}
+
+void PliEntropyEngine::MergeStats(const Stats& delta) {
   // AccumulateCounters skips cache.bytes: a resident gauge of the shared
   // cache, not a counter — stats() reads it off the cache directly.
-  merged_.AccumulateCounters(worker.stats());
+  merged_.AccumulateCounters(delta);
 }
 
 double PliEntropyEngine::Entropy(AttrSet attrs) {

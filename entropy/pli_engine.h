@@ -190,7 +190,25 @@ class PliEntropyEngine : public EntropyEngine {
       }
       cache.AccumulateCounters(other.cache);
     }
+    /// The inverse: `later.SubtractCounters(earlier)` leaves the counters
+    /// of the work done between two readings of one handle.
+    void SubtractCounters(const Stats& earlier) {
+      queries -= earlier.queries;
+      value_hits -= earlier.value_hits;
+      intersections -= earlier.intersections;
+      subset_probes -= earlier.subset_probes;
+      subset_probe_candidates -= earlier.subset_probe_candidates;
+      fused_entropies -= earlier.fused_entropies;
+      for (int i = 0; i < kDepthBuckets; ++i) {
+        depth_hist[i] -= earlier.depth_hist[i];
+      }
+      cache.SubtractCounters(earlier.cache);
+    }
   };
+  /// Folds one slice of a worker's work, a difference of two stats()
+  /// readings (Stats::SubtractCounters): the pair grid folds only the pairs
+  /// it merged. Same thread rule as above.
+  void MergeStats(const Stats& delta);
   /// This handle's counters plus every merged worker's. `cache.bytes` is
   /// the resident gauge of the shared cache.
   Stats stats() const;

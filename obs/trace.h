@@ -165,15 +165,28 @@ class Span {
 
   ~Span() {
     if (lane_ == nullptr) return;
+    End();
     TraceEvent event;
     event.name = name_;
     event.start_ns = start_ns_ - epoch_ns_;
-    const uint64_t now = Stopwatch::NowNs();
-    event.dur_ns = now > start_ns_ ? now - start_ns_ : 0;
-    const uint64_t cpu = ThreadCpuNs();
-    event.cpu_ns = cpu > cpu_start_ns_ ? cpu - cpu_start_ns_ : 0;
+    event.dur_ns = end_ns_ > start_ns_ ? end_ns_ - start_ns_ : 0;
+    event.cpu_ns =
+        cpu_end_ns_ > cpu_start_ns_ ? cpu_end_ns_ - cpu_start_ns_ : 0;
     event.args_json = std::move(args_);
     lane_->Record(std::move(event));
+  }
+
+  /// Stamps the span's end (wall and thread CPU) now. The event is still
+  /// recorded at destruction, so args known only after the timed work can
+  /// be attached in between; later calls are no-ops. The event lands in
+  /// the constructing thread's lane: destroy an ended span on another
+  /// thread only once that thread has released its lane (a joined pool
+  /// worker).
+  void End() {
+    if (lane_ == nullptr || ended_) return;
+    ended_ = true;
+    end_ns_ = Stopwatch::NowNs();
+    cpu_end_ns_ = ThreadCpuNs();
   }
 
   bool active() const { return lane_ != nullptr; }
@@ -194,6 +207,9 @@ class Span {
   uint64_t epoch_ns_ = 0;
   uint64_t start_ns_ = 0;
   uint64_t cpu_start_ns_ = 0;
+  bool ended_ = false;
+  uint64_t end_ns_ = 0;
+  uint64_t cpu_end_ns_ = 0;
   std::string args_;
 };
 

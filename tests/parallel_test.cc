@@ -10,9 +10,9 @@
 //     counters back exactly;
 //   * the Maimon pipeline is thread-count-invariant: mined full MVDs, the
 //     conflict graph, enumerated schemes (also when max_schemas truncates
-//     them), engine query totals, the ranked top-k, and the Yannakakis
-//     semijoin reduction are identical at num_threads in {1, 2, 8} on
-//     planted bag-chain data.
+//     them, and when max_conflict_mvds stops mining early), engine query
+//     totals, the ranked top-k, and the Yannakakis semijoin reduction are
+//     identical at num_threads in {1, 2, 8} on planted bag-chain data.
 //
 // This suite is also the ThreadSanitizer lane's target
 // (scripts/check.sh --tsan): every cross-thread interaction of the runtime
@@ -20,13 +20,17 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/maimon.h"
 #include "data/planted.h"
+#include "graph/mis.h"
 #include "obs/trace.h"
+#include "scheme/assembler.h"
+#include "scheme/conflict_graph.h"
 #include "scheme/ranker.h"
 #include "tests/test_util.h"
 #include "util/thread_pool.h"
@@ -332,6 +336,7 @@ TEST_CASE(MetricTotalsAreThreadCountInvariant) {
       "minsep.seeds",        "minsep.expansions",
       "minsep.oracle_calls", "mine.pairs",
       "mine.separators",     "mine.mvds",
+      "mine.pairs_merged",
       "assemble.independent_sets", "assemble.schemes",
       "assemble.conflict_vertices", "assemble.conflict_edges"};
 
@@ -359,6 +364,163 @@ TEST_CASE(MetricTotalsAreThreadCountInvariant) {
   CHECK(base[2] > 0);  // oracle calls: the fixture does real walk work
   for (int threads : {2, 8}) {
     CHECK(counters_at(threads) == base);
+  }
+}
+
+// What one run with a binding max_conflict_mvds leaves behind.
+struct CapStopRun {
+  std::vector<AttrSet> separators;
+  std::vector<std::string> mvds;
+  size_t conflict_vertices = 0;
+  size_t conflict_edges = 0;
+  size_t mvds_dropped = 0;
+  std::vector<std::string> schemas;
+  uint64_t engine_queries = 0;
+  std::map<std::string, uint64_t> counters;
+};
+
+CapStopRun MineWithCap(const Relation& relation, int num_threads, size_t cap,
+                       const std::vector<std::string>& counter_names) {
+  obs::Sink sink;
+  MaimonConfig config;
+  config.epsilon = 0.05;
+  config.num_threads = num_threads;
+  config.schemas.max_schemas = 2048;
+  config.schemas.max_conflict_mvds = cap;
+  config.sink = &sink;
+  Maimon maimon(relation, config);
+  const AsMinerResult schemas = maimon.MineSchemas();
+  const MvdMinerResult& mvds = maimon.MineMvds();
+  CHECK(mvds.status.ok());  // a cap stop is not a deadline
+  CHECK(schemas.status.ok());
+  CHECK(!schemas.truncated);
+
+  CapStopRun run;
+  run.separators = mvds.separators;
+  for (const Mvd& m : mvds.mvds) run.mvds.push_back(m.ToString());
+  run.conflict_vertices = schemas.conflict_vertices;
+  run.conflict_edges = schemas.conflict_edges;
+  run.mvds_dropped = schemas.mvds_dropped;
+  for (const MinedSchema& s : schemas.schemas) {
+    run.schemas.push_back(s.schema.ToString());
+  }
+  run.engine_queries = maimon.engine().NumQueries();
+  const obs::MetricsRegistry snapshot = sink.SnapshotMetrics();
+  for (const std::string& name : counter_names) {
+    CHECK_EQ(maimon.metrics().counter(name), snapshot.counter(name));
+    run.counters[name] = snapshot.counter(name);
+  }
+  // Every claimed pair's span says what became of it, and exactly the
+  // merged prefix reads "merged"; pairs that ran also report their MVDs.
+  uint64_t merged_spans = 0;
+  sink.ForEachEvent([&](int, const std::string&, const obs::TraceEvent& e) {
+    if (std::string(e.name) != "mine.pair") return;
+    const auto has = [&](const char* arg) {
+      return e.args_json.find(arg) != std::string::npos;
+    };
+    if (has("\"outcome\":\"merged\"")) {
+      ++merged_spans;
+      CHECK(has("\"mvds\":"));
+    } else {
+      CHECK(has("\"outcome\":\"cancelled\"") ||
+            has("\"outcome\":\"skipped\""));
+    }
+  });
+  CHECK_EQ(merged_spans, run.counters["mine.pairs_merged"]);
+  return run;
+}
+
+// The schemes MineSchemas streams from `vertices`: every maximal
+// independent set of their conflict graph assembled with intermediates,
+// deduped by canonical form (max_schemas never binds on this fixture).
+std::vector<std::string> SchemesOf(const Relation& relation,
+                                   const std::vector<Mvd>& vertices,
+                                   size_t* conflict_edges) {
+  PliEntropyEngine engine(relation);
+  InfoCalc calc(&engine);
+  SchemeAssembler assembler(&calc, relation.Universe());
+  const Graph graph = BuildConflictGraph(vertices, conflict_edges);
+  std::vector<std::string> schemas;
+  std::set<std::string> seen;
+  EnumerateMaximalIndependentSets(graph, [&](const VertexSet& mis) {
+    std::vector<const Mvd*> members;
+    mis.ForEach([&](int v) {
+      members.push_back(&vertices[static_cast<size_t>(v)]);
+    });
+    assembler.Assemble(members, /*emit_intermediates=*/true, nullptr,
+                       [&](AssembledScheme&& scheme) {
+                         if (scheme.schema.NumRelations() < 2) return true;
+                         const std::string key = scheme.schema.ToString();
+                         if (seen.insert(key).second) schemas.push_back(key);
+                         return true;
+                       });
+    return true;
+  });
+  return schemas;
+}
+
+TEST_CASE(CapStopIsExactAtEveryThreadCount) {
+  // With max_conflict_mvds binding, mining merges pairs in canonical order
+  // and stops once the merged prefix holds cap + 1 distinct MVDs;
+  // in-flight pairs past it are cancelled and their engine work is not
+  // counted. On this fixture pair (0,2) alone mines 8 MVDs and the merged
+  // prefix holds 18 after pair (0,3) and 19 after (0,4). So cap 5 cuts
+  // inside one pair's list, cap 17 stops exactly on the (0,3) boundary,
+  // and cap 18 lands on that boundary and needs one more pair to see an
+  // MVD past it. Every artifact of the run, engine query totals and the
+  // phase counters included, must be identical at 1, 2 and 8 threads, and
+  // the admitted vertices and schemes must be those of an uncapped mine
+  // truncated to the cap.
+  const PlantedDataset d = MakePlanted(8, 3, 21, /*noise=*/0.02);
+  const std::vector<std::string> kCounters = {
+      "minsep.seeds",      "minsep.expansions", "minsep.oracle_calls",
+      "mine.pairs",        "mine.pairs_merged", "mine.separators",
+      "mine.mvds",         "assemble.independent_sets",
+      "assemble.schemes",  "assemble.conflict_vertices",
+      "assemble.conflict_edges"};
+
+  MaimonConfig uncapped_config;
+  uncapped_config.epsilon = 0.05;
+  uncapped_config.schemas.max_conflict_mvds = 0;
+  Maimon uncapped(d.relation, uncapped_config);
+  const std::vector<Mvd>& all = uncapped.MineMvds().mvds;
+  CHECK(uncapped.MineMvds().status.ok());
+  CHECK(all.size() > 19);
+
+  const struct {
+    size_t cap;
+    uint64_t pairs_merged;
+  } kCases[] = {{5, 2}, {17, 3}, {18, 4}};
+  for (const auto& c : kCases) {
+    const CapStopRun base = MineWithCap(d.relation, 1, c.cap, kCounters);
+    CHECK(base.mvds.size() > c.cap);  // one past the cap: the stop fired
+    CHECK(base.mvds.size() < all.size());
+    CHECK_EQ(base.conflict_vertices, c.cap);
+    CHECK_EQ(base.mvds_dropped, base.mvds.size() - c.cap);
+    CHECK_EQ(base.counters.at("mine.pairs_merged"), c.pairs_merged);
+    CHECK(c.pairs_merged < base.counters.at("mine.pairs"));
+
+    const std::vector<Mvd> admitted(all.begin(),
+                                    all.begin() + static_cast<long>(c.cap));
+    for (size_t i = 0; i < c.cap && i < base.mvds.size(); ++i) {
+      CHECK_EQ(base.mvds[i], admitted[i].ToString());
+    }
+    size_t edges = 0;
+    CHECK(SchemesOf(d.relation, admitted, &edges) == base.schemas);
+    CHECK_EQ(base.conflict_edges, edges);
+    CHECK(!base.schemas.empty());
+
+    for (int threads : {2, 8}) {
+      const CapStopRun run = MineWithCap(d.relation, threads, c.cap, kCounters);
+      CHECK(run.separators == base.separators);
+      CHECK(run.mvds == base.mvds);
+      CHECK_EQ(run.conflict_vertices, base.conflict_vertices);
+      CHECK_EQ(run.conflict_edges, base.conflict_edges);
+      CHECK_EQ(run.mvds_dropped, base.mvds_dropped);
+      CHECK(run.schemas == base.schemas);
+      CHECK_EQ(run.engine_queries, base.engine_queries);
+      CHECK(run.counters == base.counters);
+    }
   }
 }
 

@@ -240,12 +240,25 @@ TEST_CASE(ConflictMvdCapIsReportedNotSilent) {
   const Relation r = HubFixture();
   MaimonConfig config;
   config.epsilon = 0.0;
+  config.schemas.max_conflict_mvds = 0;  // mine and admit everything
+  Maimon uncapped(r, config);
+  const std::vector<Mvd>& all = uncapped.MineMvds().mvds;
+  CHECK_EQ(all.size(), size_t{7});
+
+  // Mining stops one MVD past the cap, so the drop count is only a lower
+  // bound, but it must not read 0: something was left out. The admitted
+  // vertices are exactly the first 4 of the uncapped mine.
   config.schemas.max_conflict_mvds = 4;  // admit only the first 4 of 7
   Maimon maimon(r, config);
   const AsMinerResult result = maimon.MineSchemas();
   CHECK(result.status.ok());
   CHECK_EQ(result.conflict_vertices, size_t{4});
-  CHECK_EQ(result.mvds_dropped, size_t{3});
+  CHECK(result.mvds_dropped > 0);
+  const std::vector<Mvd>& mined = maimon.MineMvds().mvds;
+  CHECK(mined.size() > 4);
+  for (size_t i = 0; i < 4 && i < mined.size(); ++i) {
+    CHECK_EQ(mined[i].ToString(), all[i].ToString());
+  }
 }
 
 TEST_CASE(RankerOrdersByQualityAndHonorsBudget) {
