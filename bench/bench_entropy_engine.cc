@@ -26,7 +26,7 @@
 #include "entropy/naive_engine.h"
 #include "entropy/pli_engine.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace maimon {
 namespace {
@@ -191,14 +191,13 @@ int RunHitRateMode(int cols, int rows, int num_queries) {
     // Shared concurrent cache: forks are handles onto one budget.
     {
       PliEntropyEngine engine(r);
-      auto forks = engine.ForkShards(threads);
-      ThreadPool pool(threads);
-      ParallelFor(&pool, threads, static_cast<size_t>(threads), nullptr,
+      const std::vector<EngineShard> forks = MakeEngineShards(engine, threads);
+      ParallelFor(threads, static_cast<size_t>(threads), nullptr,
                   [&](int, size_t w) {
-                    RunWorkerSlice(forks[w].get(), queries,
+                    RunWorkerSlice(forks[w].engine.get(), queries,
                                    static_cast<int>(w), threads);
                   });
-      for (auto& fork : forks) engine.MergeStats(*fork);
+      for (const EngineShard& fork : forks) engine.MergeStats(*fork.engine);
       const auto s = engine.stats();
       const uint64_t hits = s.value_hits + s.cache.hits;
       const uint64_t lookups = hits + s.cache.misses;
@@ -223,8 +222,7 @@ int RunHitRateMode(int cols, int rows, int num_queries) {
         opt.cache_capacity_bytes = budget / static_cast<size_t>(threads);
         workers.push_back(std::make_unique<PliEntropyEngine>(r, opt));
       }
-      ThreadPool pool(threads);
-      ParallelFor(&pool, threads, static_cast<size_t>(threads), nullptr,
+      ParallelFor(threads, static_cast<size_t>(threads), nullptr,
                   [&](int, size_t w) {
                     RunWorkerSlice(workers[w].get(), queries,
                                    static_cast<int>(w), threads);

@@ -29,7 +29,7 @@
 #include "obs/trace.h"
 #include "util/stopwatch.h"
 #include "util/string_util.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace maimon {
 namespace bench {
@@ -39,7 +39,7 @@ namespace bench {
 /// sink() is null and the whole pipeline runs uninstrumented (the
 /// zero-overhead-off contract of obs/trace.h). Finish() — also run by the
 /// destructor — writes the Chrome trace and/or metrics JSONL and prints
-/// the per-phase table to stderr, after all pools are joined.
+/// the per-phase table to stderr, after every shard thread is joined.
 class ObsSession {
  public:
   ObsSession(std::string trace_path, std::string metrics_path)

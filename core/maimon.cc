@@ -39,9 +39,9 @@ PairMineResult MineOnePair(const PairTask& task, const MaimonConfig& config,
   const int a = task.a;
   const int b = task.b;
   // Optional per-pair slice of the remaining global budget, so one
-  // explosive pair cannot blank every pair after it. Under the pool the
-  // slice is computed from the budget remaining when the pair is claimed —
-  // the same greedy split the sequential walk applies.
+  // explosive pair cannot blank every pair after it. With several shards
+  // the slice is computed from the budget remaining when the pair is
+  // claimed — the same greedy split the sequential walk applies.
   Deadline slice = task.deadline;
   if (config.mvd.slice_budget_across_pairs && config.mvd_budget_seconds > 0) {
     const int pairs_left = num_pairs - static_cast<int>(task.index);
@@ -259,24 +259,17 @@ AsMinerResult Maimon::MineSchemas() {
   SchemeAssembler assembler(calc_.get(), universe);
   std::unordered_set<std::string> seen;
   std::vector<const Mvd*> members;
-  bool deadline_hit = false;
   const bool completed =
       EnumerateMaximalIndependentSets(graph, [&](const VertexSet& mis) {
-    if (deadline.Expired()) {
-      deadline_hit = true;
-      return false;
-    }
+    if (deadline.Expired()) return false;
     ++result.independent_sets;
     members.clear();
     mis.ForEach(
         [&](int v) { members.push_back(&(*vertices)[static_cast<size_t>(v)]); });
-    const bool keep = assembler.Assemble(
+    return assembler.Assemble(
         members, config_.schemas.emit_intermediate_schemes, &deadline,
         [&](AssembledScheme&& scheme) {
-          if (deadline.Expired()) {  // poll even on the duplicate path
-            deadline_hit = true;
-            return false;
-          }
+          if (deadline.Expired()) return false;  // also on the duplicate path
           // Canonical-form dedup: no two emitted schemes share a relation
           // set (different independent sets often imply the same schema).
           if (scheme.schema.NumRelations() < 2) return true;
@@ -290,24 +283,15 @@ AsMinerResult Maimon::MineSchemas() {
           }
           result.schemas.push_back(
               {std::move(scheme.schema), scheme.j_measure});
-          if (deadline.Expired()) {
-            deadline_hit = true;
-            return false;
-          }
-          return true;
+          return !deadline.Expired();
         });
-    // Assemble also stops on the deadline it polls between splits.
-    if (!keep && !result.truncated && deadline.Expired()) deadline_hit = true;
-    return keep;
   }, &deadline);
-  // The enumerator polls the deadline inside its recursion too (gaps
-  // between maximal sets can be exponential); catch that stop path. A
-  // completed enumeration is never mislabeled, even if the clock ran out
-  // on the final set.
-  if (!completed && !result.truncated && deadline.Expired()) {
-    deadline_hit = true;
-  }
-  if (deadline_hit) {
+  // The stream stops for two reasons only: the max_schemas cap
+  // (`truncated`) or the deadline, polled above, between Assemble's splits
+  // and inside the enumerator's recursion (gaps between maximal sets can be
+  // exponential). A completed enumeration is never mislabeled, even if the
+  // clock ran out on the final set.
+  if (!completed && !result.truncated) {
     result.status = Status::DeadlineExceeded("schema enumeration budget");
   }
   fold_assembly(result);

@@ -17,18 +17,19 @@
 //                   result with kDeadlineExceeded.
 //
 // MVDMiner is parallel (MaimonConfig::num_threads; 0 = all hardware
-// threads): it shards the (a, b) pair grid across a fixed ThreadPool. Every
-// worker holds a PliEntropyEngine handle forked off the facade's engine —
-// the immutable core (relation, single-column PLIs and entropies) AND the
-// byte-budgeted partition cache are shared, so a partition materialized by
-// any worker is warm for all of them — and per-pair results are merged in
-// pair-rank order as each prefix of the grid completes; when a cap stop
-// fires, in-flight pairs past the prefix are cancelled and discarded, and
-// only the merged pairs' engine counters are kept. ASMiner streams on the
-// calling thread with the facade's own engine at every thread count,
-// stopping at the first distinct scheme past max_schemas. Mined MVDs, the
-// conflict graph, the schemes and engine query totals are therefore
-// byte-identical for any thread count.
+// threads): one ParallelFor call shards the (a, b) pair grid across threads
+// that it starts and joins. Every worker holds a PliEntropyEngine handle
+// forked off the facade's engine — the immutable core (relation,
+// single-column PLIs and entropies) AND the byte-budgeted partition cache
+// are shared, so a partition materialized by any worker is warm for all of
+// them — and per-pair results are merged in pair-rank order as each prefix
+// of the grid completes; when a cap stop fires, in-flight pairs past the
+// prefix are cancelled and discarded, and only the merged pairs' engine
+// counters are kept. ASMiner streams on the calling thread with the
+// facade's own engine at every thread count, stopping at the first
+// distinct scheme past max_schemas. Mined MVDs, the conflict graph, the
+// schemes and engine query totals are therefore byte-identical for any
+// thread count.
 
 #ifndef MAIMON_CORE_MAIMON_H_
 #define MAIMON_CORE_MAIMON_H_
@@ -86,9 +87,11 @@ struct MaimonConfig {
   double mvd_budget_seconds = 0.0;
   double schema_budget_seconds = 0.0;
   /// Worker threads for the (a,b)-pair MVD mining grid (schema assembly
-  /// always runs on the calling thread): 1 = fully sequential (no pool),
-  /// 0 = hardware_concurrency, N = exactly N. Mined output and engine
-  /// query totals are identical for every value; only wall clock changes.
+  /// always runs on the calling thread): 1 = the grid runs on the calling
+  /// thread and no thread is started, 0 = hardware_concurrency, N = exactly
+  /// N, started when the grid starts and joined before it returns. Mined
+  /// output and engine query totals are identical for every value; only
+  /// wall clock changes.
   int num_threads = 1;
   /// Observability sink for the whole pipeline (nullable; see obs/trace.h).
   /// When set, every phase emits spans and the facade folds its phase

@@ -5,13 +5,12 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace maimon {
 
@@ -44,15 +43,13 @@ PairGridRun ForEachPairSharded(
 
   // Each shard owns a forked engine handle (shared immutable core, shared
   // concurrent cache, private scratch + counters); ParallelFor guarantees
-  // one thread per shard at a time, so the handle state needs no locks. At
-  // one thread nothing is forked and the null pool runs the pairs inline,
-  // in index order, on the caller's engine: its cache stays warm for
-  // whatever single-threaded phase follows, and no pair past a stop runs.
+  // one thread per shard, so the handle state needs no locks. At one
+  // thread nothing is forked and ParallelFor runs the pairs inline, in
+  // index order, on the caller's engine: its cache stays warm for whatever
+  // single-threaded phase follows, and no pair past a stop runs.
   std::vector<EngineShard> shards;
-  std::unique_ptr<ThreadPool> pool;
   if (run.threads_used > 1) {
     shards = MakeEngineShards(*engine, run.threads_used);
-    pool = std::make_unique<ThreadPool>(run.threads_used, sink);
   }
 
   // Per-pair bookkeeping, indexed by pair rank. A forked shard's counter
@@ -71,7 +68,7 @@ PairGridRun ForEachPairSharded(
   const InfoCalc caller_calc(engine);
   const bool claimed_all =
       ParallelFor(
-          pool.get(), run.threads_used, pairs.size(), &run_deadline,
+          run.threads_used, pairs.size(), &run_deadline,
           [&](int shard, size_t i) {
             const auto [a, b] = pairs[i];
             obs::Span untraced(nullptr, "mine.pair");
@@ -110,11 +107,9 @@ PairGridRun ForEachPairSharded(
                 stop.store(true, std::memory_order_relaxed);
               }
             }
-          })
+          },
+          sink)
           .completed;
-  // Join the workers before closing the spans below: each exiting worker
-  // releases its lane, so recording into it from this thread is safe.
-  pool.reset();
 
   run.pairs_merged = static_cast<int>(merged);
   run.completed = claimed_all || run.stopped;

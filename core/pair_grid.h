@@ -80,8 +80,9 @@ int PairGridThreads(int num_cols, int num_threads);
 /// worker's track, tagged with the pair's `a`, `b`, whatever fn adds and its
 /// `outcome`: "merged", "cancelled" (ran past the stop; discarded) or
 /// "skipped" (claimed after the stop; not run). It also instruments the
-/// pool. Semantic counters are NOT emitted here — callers fold them from
-/// their merge (see obs/trace.h's fold discipline).
+/// shard threads (ParallelFor's `pool.*`). Semantic counters are NOT
+/// emitted here — callers fold them from their merge (see obs/trace.h's
+/// fold discipline).
 PairGridRun ForEachPairSharded(
     PliEntropyEngine* engine, int num_cols, int num_threads,
     const Deadline* deadline, const std::function<void(const PairTask&)>& fn,

@@ -5,12 +5,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
-#include <memory>
 #include <numeric>
 #include <unordered_set>
 #include <utility>
 
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace maimon {
 namespace {
@@ -116,7 +115,6 @@ Status YannakakisExecutor::ReduceImpl(const Deadline* deadline,
   // result independent of how a level's nodes are scheduled.
   std::vector<size_t> depth(nodes_.size(), 0);
   std::vector<std::vector<size_t>> levels;
-  size_t widest_level = 0;
   for (int pv : tree_.preorder) {
     const size_t v = static_cast<size_t>(pv);
     if (tree_.parent[v] >= 0) {
@@ -124,14 +122,8 @@ Status YannakakisExecutor::ReduceImpl(const Deadline* deadline,
     }
     if (depth[v] == levels.size()) levels.emplace_back();
     levels[depth[v]].push_back(v);
-    widest_level = std::max(widest_level, levels[depth[v]].size());
   }
-  const int threads = static_cast<int>(
-      std::min<size_t>(static_cast<size_t>(ResolveNumThreads(num_threads)),
-                       widest_level));
-  // At one thread ParallelFor runs each level inline, in preorder order.
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1) pool = std::make_unique<ThreadPool>(threads, sink);
+  const size_t threads = static_cast<size_t>(ResolveNumThreads(num_threads));
 
   std::vector<uint64_t> dropped(nodes_.size(), 0);
   std::vector<uint64_t> passes(nodes_.size(), 0);
@@ -175,14 +167,15 @@ Status YannakakisExecutor::ReduceImpl(const Deadline* deadline,
 
   std::atomic<bool> expired{false};
   // Runs `edge(v, child)` for every node v of `level` and each of its
-  // children in order; a false return (deadline expiry) stops the sweep.
+  // children in order; a false return (deadline expiry) stops the sweep. A
+  // level of one node runs inline, in preorder order; a wider one starts
+  // its own threads, at most one per node.
   const auto run_level = [&](const std::vector<size_t>& level,
                              const auto& edge) {
     const ParallelForResult run = ParallelFor(
-        pool.get(),
-        static_cast<int>(std::min<size_t>(static_cast<size_t>(threads),
-                                          level.size())),
-        level.size(), deadline, [&](int, size_t i) {
+        static_cast<int>(std::min(threads, level.size())), level.size(),
+        deadline,
+        [&](int, size_t i) {
           const size_t v = level[i];
           for (int c : tree_.children[v]) {
             if (DeadlineExpired(deadline) ||
@@ -191,7 +184,8 @@ Status YannakakisExecutor::ReduceImpl(const Deadline* deadline,
               return;
             }
           }
-        });
+        },
+        sink);
     if (!run.completed) expired.store(true, std::memory_order_relaxed);
   };
 

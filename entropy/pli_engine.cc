@@ -78,18 +78,6 @@ PliEntropyEngine::PliEntropyEngine(std::shared_ptr<const PliSharedCore> core,
                                    std::shared_ptr<PliCache> cache)
     : core_(std::move(core)), cache_(std::move(cache)) {}
 
-std::vector<std::unique_ptr<PliEntropyEngine>> PliEntropyEngine::ForkShards(
-    int num_shards) const {
-  if (num_shards < 1) num_shards = 1;
-  // Every worker shares THE cache — the full byte budget, not a 1/n slice
-  // (the old slicing both stranded cold shards' quota and dropped the
-  // integer-division remainder).
-  std::vector<std::unique_ptr<PliEntropyEngine>> shards;
-  shards.reserve(static_cast<size_t>(num_shards));
-  for (int i = 0; i < num_shards; ++i) shards.push_back(Fork());
-  return shards;
-}
-
 std::unique_ptr<PliEntropyEngine> PliEntropyEngine::Fork() const {
   return std::unique_ptr<PliEntropyEngine>(
       new PliEntropyEngine(core_, cache_));
@@ -102,11 +90,11 @@ void PliEntropyEngine::MergeStats(const PliEntropyEngine& worker) {
 void PliEntropyEngine::MergeStats(const Stats& delta) {
   // AccumulateCounters skips cache.bytes: a resident gauge of the shared
   // cache, not a counter — stats() reads it off the cache directly.
-  merged_.AccumulateCounters(delta);
+  stats_.AccumulateCounters(delta);
 }
 
 double PliEntropyEngine::Entropy(AttrSet attrs) {
-  ++num_queries_;
+  ++stats_.queries;
   const Relation& relation = core_->relation();
   const PliEngineOptions& options = core_->options();
   if (attrs.Empty() || relation.NumRows() == 0) return 0.0;
@@ -120,15 +108,15 @@ double PliEntropyEngine::Entropy(AttrSet attrs) {
 
   double memoized = 0.0;
   if (memo_.Find(attrs, &memoized)) {
-    ++value_hits_;
+    ++stats_.value_hits;
     return memoized;
   }
 
   // Exact-partition probe — the accounted hit/miss event: a hit means the
   // partition cache served this attribute set outright, a miss means
   // intersection work follows.
-  if (PliCache::PartitionRef exact = cache_->Get(attrs, &cache_stats_)) {
-    ++depth_hist_[0];
+  if (PliCache::PartitionRef exact = cache_->Get(attrs, &stats_.cache)) {
+    stats_.ObserveDepth(0);
     const double h = exact->Entropy();
     memo_.Insert(attrs, h);
     return h;
@@ -141,8 +129,8 @@ double PliEntropyEngine::Entropy(AttrSet attrs) {
   AttrSet have;
   PliCache::PartitionRef held;
   const StrippedPartition* cur = nullptr;
-  ++subset_probes_;
-  held = cache_->BestSubset(attrs, &have, &subset_probe_candidates_);
+  ++stats_.subset_probes;
+  held = cache_->BestSubset(attrs, &have, &stats_.subset_probe_candidates);
   if (held != nullptr) cur = held.get();
   if (cur == nullptr) {
     // Nothing cached applies: start from a base single-column PLI.
@@ -151,11 +139,7 @@ double PliEntropyEngine::Entropy(AttrSet attrs) {
     cur = &core_->Single(first);
   }
 
-  {
-    int depth = attrs.Minus(have).Count();
-    if (depth >= Stats::kDepthBuckets) depth = Stats::kDepthBuckets - 1;
-    ++depth_hist_[depth];
-  }
+  stats_.ObserveDepth(attrs.Minus(have).Count());
 
   // Stage 2: fold in the missing attributes one base PLI at a time, staging
   // block-sized intermediates into the LRU cache so later queries that share
@@ -179,10 +163,10 @@ double PliEntropyEngine::Entropy(AttrSet attrs) {
                        last ? &h : nullptr);
     if (last) {
       h_from_fusion = true;
-      ++fused_entropies_;
+      ++stats_.fused_entropies;
     }
     local = out;
-    ++intersections_;
+    ++stats_.intersections;
     have.Add(c);
     cur = local;
     held.reset();  // previous pin no longer read
@@ -191,7 +175,7 @@ double PliEntropyEngine::Entropy(AttrSet attrs) {
       // Put cannot reject (capacity pre-checked, and shrinking inside Put
       // only lowers the cost), so the product may be moved into the cache
       // and `cur` re-pointed at the resident (pinned) copy.
-      held = cache_->Put(have, std::move(*local), &cache_stats_);
+      held = cache_->Put(have, std::move(*local), &stats_.cache);
       assert(held != nullptr);
       cur = held.get();
       local = nullptr;
@@ -206,7 +190,7 @@ double PliEntropyEngine::Entropy(AttrSet attrs) {
   // MVDMiner re-queries supersets of it immediately.
   if (attrs.Count() <= options.block_size && local != nullptr &&
       local->MemoryBytes() <= cache_->capacity_bytes()) {
-    cache_->Put(attrs, std::move(*local), &cache_stats_);
+    cache_->Put(attrs, std::move(*local), &stats_.cache);
   }
   memo_.Insert(attrs, h);
   return h;
@@ -235,17 +219,7 @@ std::vector<double> PliEntropyEngine::EntropyBatch(
 }
 
 PliEntropyEngine::Stats PliEntropyEngine::stats() const {
-  Stats s = merged_;
-  s.queries += num_queries_;
-  s.value_hits += value_hits_;
-  s.intersections += intersections_;
-  s.subset_probes += subset_probes_;
-  s.subset_probe_candidates += subset_probe_candidates_;
-  s.fused_entropies += fused_entropies_;
-  for (int i = 0; i < Stats::kDepthBuckets; ++i) {
-    s.depth_hist[i] += depth_hist_[i];
-  }
-  s.cache.AccumulateCounters(cache_stats_);
+  Stats s = stats_;
   s.cache.bytes = cache_->bytes();  // resident gauge of the shared cache
   return s;
 }
@@ -275,14 +249,11 @@ void AppendEngineMetrics(const PliEntropyEngine::Stats& stats,
 
 std::vector<EngineShard> MakeEngineShards(const PliEntropyEngine& parent,
                                           int num_shards) {
-  std::vector<EngineShard> shards;
-  auto engines = parent.ForkShards(num_shards);
-  shards.reserve(engines.size());
-  for (auto& engine : engines) {
-    EngineShard shard;
-    shard.calc = std::make_unique<InfoCalc>(engine.get());
-    shard.engine = std::move(engine);
-    shards.push_back(std::move(shard));
+  // Every shard shares THE cache — the full byte budget, not a 1/n slice.
+  std::vector<EngineShard> shards(static_cast<size_t>(std::max(1, num_shards)));
+  for (EngineShard& shard : shards) {
+    shard.engine = parent.Fork();
+    shard.calc = std::make_unique<InfoCalc>(shard.engine.get());
   }
   return shards;
 }

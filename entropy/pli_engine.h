@@ -31,8 +31,8 @@
 //                      and no budget is stranded in cold per-worker slices.
 //   PliEntropyEngine — the per-worker handle: the H(X) value memo, the
 //                      intersect scratch and the query/hit counters. One
-//                      handle is owned by one thread at a time; ForkShards()
-//                      hands out handles over the shared core + cache, each
+//                      handle is owned by one thread at a time; Fork()
+//                      hands out a handle over the shared core + cache,
 //                      with an empty memo, and MergeStats() folds worker
 //                      counters back so aggregate ablation numbers add up
 //                      exactly across any thread count.
@@ -132,16 +132,13 @@ class PliEntropyEngine : public EntropyEngine {
   /// candidates shares prefix partitions. Results come back in input order.
   std::vector<double> EntropyBatch(const std::vector<AttrSet>& queries) override;
   /// Total queries answered by this shard plus everything merged into it.
-  uint64_t NumQueries() const override { return num_queries_ + merged_.queries; }
+  uint64_t NumQueries() const override { return stats_.queries; }
 
-  /// Forks `num_shards` worker handles over this engine's immutable core
-  /// AND its shared concurrent cache — the full byte budget, no slicing.
-  /// Partitions staged by this engine are warm for every worker (and vice
-  /// versa). Each handle carries only thread-confined state (an empty value
-  /// memo, scratch, counters) and may be handed to a different thread.
-  std::vector<std::unique_ptr<PliEntropyEngine>> ForkShards(
-      int num_shards) const;
-  /// Single worker handle over the shared core + cache.
+  /// A worker handle over this engine's immutable core AND its shared
+  /// concurrent cache — the full byte budget, no slicing. Partitions staged
+  /// by this engine are warm for every worker (and vice versa). The handle
+  /// carries only thread-confined state (an empty value memo, scratch,
+  /// counters) and may be handed to a different thread.
   std::unique_ptr<PliEntropyEngine> Fork() const;
 
   /// Folds a worker's counters into this engine's merged totals. Counter
@@ -225,21 +222,15 @@ class PliEntropyEngine : public EntropyEngine {
 
   std::shared_ptr<const PliSharedCore> core_;
   std::shared_ptr<PliCache> cache_;  // shared partition cache
-  PliCache::Stats cache_stats_;   // this handle's slice of cache counters
   EntropyMemo memo_;                 // this handle's H(X) values
   IntersectScratch epoch_scratch_;   // intersect kernel tag scratch
   /// Fold-chain output buffers, ping-ponged so a depth-k chain reuses two
   /// allocations instead of making k. A buffer whose partition is staged
   /// into the cache donates its storage (moved out) and re-grows later.
   StrippedPartition fold_bufs_[2];
-  uint64_t num_queries_ = 0;
-  uint64_t value_hits_ = 0;
-  uint64_t intersections_ = 0;
-  uint64_t subset_probes_ = 0;
-  uint64_t subset_probe_candidates_ = 0;
-  uint64_t fused_entropies_ = 0;
-  uint64_t depth_hist_[Stats::kDepthBuckets] = {};
-  Stats merged_;  // counters folded in from forked workers
+  /// This handle's counters plus every folded worker's; `cache.bytes` stays
+  /// 0 here (stats() reads the gauge off the shared cache).
+  Stats stats_;
 };
 
 /// A worker's complete mining context: a forked engine shard plus the

@@ -12,9 +12,9 @@
 //          buffer plus a MetricsRegistry shard. A lane is owned by exactly
 //          one live thread (Sink::lane() resolves the calling thread's lane
 //          under a mutex ONCE per call; the buffers themselves are written
-//          lock-free). Pool workers release their lane on exit so a later
-//          pool reuses the same track ids — Perfetto shows one row per
-//          worker slot, not one per historical OS thread.
+//          lock-free). Shard threads release their lane on exit so the
+//          next parallel phase reuses the same track ids — Perfetto shows
+//          one row per worker slot, not one per historical OS thread.
 //   Span — RAII scoped phase marker. Records wall interval (from
 //          Stopwatch::NowNs — the same steady clock every Deadline polls)
 //          plus thread-CPU time, with optional key/value args, and lands in
@@ -28,8 +28,8 @@
 // totals are byte-identical at any thread count whenever the underlying
 // event stream is (the same contract PliEntropyEngine::MergeStats keeps).
 // Reading (SnapshotMetrics / WriteChromeTrace / ForEachEvent) is safe once
-// worker threads are joined — the pipeline always joins its pools before
-// reporting.
+// worker threads are joined — ParallelFor joins its shard threads before
+// it returns.
 
 #ifndef MAIMON_OBS_TRACE_H_
 #define MAIMON_OBS_TRACE_H_
@@ -107,7 +107,7 @@ class Sink {
   Lane* lane();
 
   /// Detaches the calling thread from its lane and marks the track
-  /// recyclable. Pool workers call this on exit so track ids stay dense;
+  /// recyclable. Shard threads call this on exit so track ids stay dense;
   /// the recorded events stay in the buffer. No-op for unregistered
   /// threads.
   void ReleaseLane();
@@ -180,8 +180,8 @@ class Span {
   /// recorded at destruction, so args known only after the timed work can
   /// be attached in between; later calls are no-ops. The event lands in
   /// the constructing thread's lane: destroy an ended span on another
-  /// thread only once that thread has released its lane (a joined pool
-  /// worker).
+  /// thread only once that thread has released its lane (a joined
+  /// ParallelFor shard thread).
   void End() {
     if (lane_ == nullptr || ended_) return;
     ended_ = true;

@@ -3,14 +3,13 @@
 #include "scheme/ranker.h"
 
 #include <algorithm>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "entropy/pli_engine.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace maimon {
 namespace {
@@ -79,8 +78,8 @@ RankResult RankSchemes(const Relation& relation,
   // Scores land indexed by scheme (never by worker), so the collected list
   // below is in scheme-input order for every thread count. `done` marks
   // the scored set when the deadline cuts the sweep short — always a
-  // prefix, pooled or not: ParallelFor claims indices from one fetch_add
-  // counter and every claimed index runs to completion before it returns.
+  // prefix: ParallelFor claims indices from one fetch_add counter and
+  // every claimed index runs to completion before it returns.
   std::vector<Scored> scored_by_index(schemes.size());
   std::vector<unsigned char> done(schemes.size(), 0);
   // One label memo for the whole call, shared by every worker: schemes
@@ -94,27 +93,24 @@ RankResult RankSchemes(const Relation& relation,
   // Each shard scores on a forked engine handle (shared immutable core,
   // shared cache) — entropies are exact regardless of cache state, so the
   // per-scheme reports are identical to the caller's own. At one thread,
-  // or for an oracle that is not a PLI engine, nothing is forked and the
-  // null pool scores inline on the caller's oracle.
+  // or for an oracle that is not a PLI engine, nothing is forked and
+  // ParallelFor scores inline on the caller's oracle.
   auto* pli = dynamic_cast<PliEntropyEngine*>(oracle.engine());
   std::vector<EngineShard> shards;
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 1 && pli != nullptr) {
-    shards = MakeEngineShards(*pli, threads);
-    pool = std::make_unique<ThreadPool>(threads, options.sink);
-  }
+  if (threads > 1 && pli != nullptr) shards = MakeEngineShards(*pli, threads);
   const bool completed =
-      ParallelFor(pool.get(), threads, schemes.size(), &deadline,
-                  [&](int shard, size_t i) {
-                    const InfoCalc& calc =
-                        shards.empty()
-                            ? oracle
-                            : *shards[static_cast<size_t>(shard)].calc;
-                    obs::Span span(options.sink, "rank.score");
-                    span.Arg("scheme", i);
-                    scored_by_index[i] = ScoreOne(schemes[i], calc, &labels);
-                    done[i] = 1;
-                  })
+      ParallelFor(
+          shards.empty() ? 1 : threads, schemes.size(), &deadline,
+          [&](int shard, size_t i) {
+            const InfoCalc& calc =
+                shards.empty() ? oracle
+                               : *shards[static_cast<size_t>(shard)].calc;
+            obs::Span span(options.sink, "rank.score");
+            span.Arg("scheme", i);
+            scored_by_index[i] = ScoreOne(schemes[i], calc, &labels);
+            done[i] = 1;
+          },
+          options.sink)
           .completed;
   for (const EngineShard& shard : shards) pli->MergeStats(*shard.engine);
   if (!completed) {

@@ -64,8 +64,9 @@ struct RankResult {
 /// Scores every scheme (until the budget runs out) and returns the top-k
 /// under `options.primary`, with the remaining two metrics as tiebreakers
 /// and the canonical schema string as the final deterministic tiebreak.
-/// With options.num_threads != 1 the scoring loop shards across a thread
-/// pool; scores land indexed by scheme, so ranking stays deterministic.
+/// With options.num_threads != 1 the scoring loop shards across threads
+/// (ParallelFor); scores land indexed by scheme, so ranking stays
+/// deterministic.
 RankResult RankSchemes(const Relation& relation,
                        const std::vector<MinedSchema>& schemes,
                        const InfoCalc& oracle, const RankerOptions& options);

@@ -9,7 +9,7 @@
 #            ctest entries (>= 10 s/eps budgets). The default lane excludes
 #            them so it stays fast.
 #   --tsan   additionally build <repo>/build-tsan with ThreadSanitizer and
-#            run the concurrency suites (parallel_test: pool, forked
+#            run the concurrency suites (parallel_test: ParallelFor, forked
 #            engines, full parallel pipeline; pli_cache_test: the shared
 #            concurrent cache's mixed-traffic stress; obs_test: concurrent
 #            span/metric emission into one sink; serve_test: 8 query

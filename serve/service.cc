@@ -15,19 +15,19 @@ namespace maimon {
 namespace serve {
 namespace {
 
-// Snapshot builds pay the full Yannakakis reduction once, off the query
-// path: afterwards every stored tuple participates in the full join, which
-// is the precondition for answering from a covering subtree alone. No
-// deadline — a partially reduced snapshot would silently break that
-// identity for every later query. Stores already marked canonical (loaded
-// from a reduced store file, or re-adopted reduced projections) skip the
-// re-reduction outright — reduction is idempotent, so the skip changes
-// cold-start cost, never results.
+// Snapshot builds pay the full Yannakakis reduction once, on one thread and
+// off the query path: afterwards every stored tuple participates in the
+// full join, which is the precondition for answering from a covering
+// subtree alone. No deadline — a partially reduced snapshot would silently
+// break that identity for every later query. Stores already marked
+// canonical (loaded from a reduced store file, or re-adopted reduced
+// projections) skip the re-reduction outright — reduction is idempotent,
+// so the skip changes cold-start cost, never results.
 ProjectionStore Canonicalize(ProjectionStore store,
                              const ServiceOptions& options) {
   if (store.canonical()) return store;
   YannakakisExecutor executor(store);
-  executor.Reduce(/*deadline=*/nullptr, options.reduce_threads, options.sink);
+  executor.Reduce(/*deadline=*/nullptr, /*num_threads=*/1, options.sink);
   return ProjectionStore(executor.ReducedProjections(),
                          store.original_cells(), /*canonical=*/true);
 }

@@ -43,10 +43,6 @@ namespace maimon {
 namespace serve {
 
 struct ServiceOptions {
-  /// Threads for the snapshot-build reduction (1 = sequential, 0 = all
-  /// hardware threads). Queries themselves are executed single-threaded —
-  /// concurrency comes from many clients, not from one query.
-  int reduce_threads = 1;
   /// Default per-query wall budget in seconds; <= 0 means unbounded.
   /// Query::budget_seconds overrides it per call.
   double default_budget_seconds = 0;

@@ -11,7 +11,7 @@
 //     sink makes every operation a no-op (the zero-overhead-off path);
 //   * Sink lanes are thread-confined; concurrent emission from many
 //     threads folds to exact totals (this file is part of the TSan lane);
-//   * the instrumented pipeline (Maimon + ranker + pool) actually emits
+//   * the instrumented pipeline (Maimon + ranker + ParallelFor) emits
 //     the advertised spans and counters, and the Chrome-trace / JSONL
 //     writers produce structurally sound output.
 
@@ -28,7 +28,7 @@
 #include "obs/trace.h"
 #include "scheme/ranker.h"
 #include "tests/test_util.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace maimon {
 namespace {
@@ -222,17 +222,18 @@ TEST_CASE(ConcurrentEmitFoldsExactTotals) {
   CHECK_EQ(events, size_t{kThreads * kIters});
 }
 
-TEST_CASE(ThreadPoolRecordsQueueAndRunLatency) {
+TEST_CASE(ParallelForRecordsQueueAndRunLatency) {
   obs::Sink sink;
   constexpr size_t kTasks = 64;
-  {
-    ThreadPool pool(3, &sink);
-    const ParallelForResult run =
-        ParallelFor(&pool, 3, kTasks, nullptr, [](int, size_t) {});
-    CHECK(run.completed);
-  }  // pool dtor joins workers; lanes released, snapshot is safe
+  // One shard runs inline on the caller: no thread starts, so no pool.*
+  // metric (nor any other) is recorded.
+  CHECK(ParallelFor(1, kTasks, nullptr, [](int, size_t) {}, &sink).completed);
+  CHECK(sink.SnapshotMetrics().empty());
+
+  // ParallelFor joins its threads (lanes released) before it returns, so
+  // the snapshot is safe. Each started thread is one pool task.
+  CHECK(ParallelFor(3, kTasks, nullptr, [](int, size_t) {}, &sink).completed);
   const obs::MetricsRegistry snapshot = sink.SnapshotMetrics();
-  // ParallelFor submits one shard runner per shard; each is one pool task.
   CHECK_EQ(snapshot.counter("pool.tasks"), uint64_t{3});
   const obs::Histogram* wait = snapshot.histogram("pool.queue_wait_ns");
   const obs::Histogram* runh = snapshot.histogram("pool.task_run_ns");

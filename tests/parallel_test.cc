@@ -2,8 +2,9 @@
 //
 // The concurrent mining runtime's contracts:
 //
-//   * ThreadPool/ParallelFor run every task exactly once, bind each shard
-//     to one thread at a time, and stop claiming on an expired deadline;
+//   * ParallelFor runs every task exactly once, binds each shard to one
+//     thread (the caller at one shard, a thread of its own otherwise), and
+//     stops claiming on an expired deadline;
 //   * PliEntropyEngine forks are handles onto ONE shared concurrent cache
 //     (a single global byte budget — no per-worker slices), the forks
 //     answer byte-identical entropies, and MergeStats folds the per-handle
@@ -23,6 +24,7 @@
 #include <map>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/maimon.h"
@@ -33,7 +35,7 @@
 #include "scheme/conflict_graph.h"
 #include "scheme/ranker.h"
 #include "tests/test_util.h"
-#include "util/thread_pool.h"
+#include "util/parallel_for.h"
 
 namespace maimon {
 namespace {
@@ -52,13 +54,11 @@ PlantedDataset MakePlanted(int attrs, int bags, uint64_t seed,
 }
 
 TEST_CASE(ParallelForRunsEveryTaskExactlyOnce) {
-  ThreadPool pool(4);
-  CHECK_EQ(pool.num_threads(), 4);
   constexpr size_t kTasks = 257;  // not a multiple of the shard count
   std::vector<std::atomic<int>> counts(kTasks);
   for (auto& c : counts) c.store(0);
   const ParallelForResult run =
-      ParallelFor(&pool, 4, kTasks, nullptr, [&](int shard, size_t i) {
+      ParallelFor(4, kTasks, nullptr, [&](int shard, size_t i) {
         CHECK(shard >= 0 && shard < 4);
         counts[i].fetch_add(1);
       });
@@ -71,31 +71,65 @@ TEST_CASE(ParallelForBindsEachShardToOneThreadAtATime) {
   // Per-shard counters are written without atomics; if two threads ever
   // ran the same shard concurrently, TSan (the --tsan lane) would flag it
   // and the final tallies would not sum to the task count.
-  ThreadPool pool(3);
-  constexpr size_t kTasks = 300;
-  size_t per_shard[3] = {0, 0, 0};
-  const ParallelForResult run =
-      ParallelFor(&pool, 3, kTasks, nullptr,
-                  [&](int shard, size_t) { ++per_shard[shard]; });
-  CHECK(run.completed);
-  CHECK_EQ(per_shard[0] + per_shard[1] + per_shard[2], kTasks);
+  const std::thread::id caller = std::this_thread::get_id();
+  for (int shards : {1, 3}) {
+    constexpr size_t kTasks = 300;
+    size_t per_shard[3] = {0, 0, 0};
+    std::set<std::thread::id> ran_on[3];
+    std::atomic<int> started{0};
+    const ParallelForResult run =
+        ParallelFor(shards, kTasks, nullptr, [&](int shard, size_t) {
+          // Each shard's first task waits for every shard's first task, so
+          // no shard drains the tasks before the others have started.
+          if (per_shard[shard]++ == 0) {
+            started.fetch_add(1);
+            while (started.load() < shards) std::this_thread::yield();
+          }
+          ran_on[shard].insert(std::this_thread::get_id());
+        });
+    CHECK(run.completed);
+    CHECK_EQ(per_shard[0] + per_shard[1] + per_shard[2], kTasks);
+    std::set<std::thread::id> ids;
+    for (int s = 0; s < shards; ++s) {
+      CHECK_EQ(ran_on[s].size(), size_t{1});
+      ids.insert(ran_on[s].begin(), ran_on[s].end());
+    }
+    // One shard runs on the caller; three run on three threads of their
+    // own, none of them the caller.
+    CHECK_EQ(ids.size(), static_cast<size_t>(shards));
+    CHECK_EQ(ids.count(caller), size_t{shards == 1 ? 1u : 0u});
+  }
 }
 
 TEST_CASE(ParallelForStopsClaimingOnExpiredDeadline) {
-  ThreadPool pool(2);
   const Deadline expired = Deadline::After(0.0);
   std::atomic<size_t> ran{0};
   const ParallelForResult run = ParallelFor(
-      &pool, 2, 1000, &expired, [&](int, size_t) { ran.fetch_add(1); });
+      2, 1000, &expired, [&](int, size_t) { ran.fetch_add(1); });
   CHECK(!run.completed);
   CHECK_EQ(run.tasks_run, ran.load());
   CHECK(ran.load() < 1000);  // an already-expired deadline blanks the sweep
 
   // Inline path (single shard) honors the deadline the same way.
   const ParallelForResult inline_run =
-      ParallelFor(nullptr, 1, 1000, &expired, [&](int, size_t) {});
+      ParallelFor(1, 1000, &expired, [&](int, size_t) {});
   CHECK(!inline_run.completed);
   CHECK_EQ(inline_run.tasks_run, size_t{0});
+
+  // A budget past what the clock can hold never expires, and a hugely
+  // negative one is expired from the start, at either path.
+  const Deadline huge = Deadline::After(1e12);
+  const Deadline negative = Deadline::After(-1e30);
+  for (int shards : {1, 2}) {
+    const ParallelForResult all =
+        ParallelFor(shards, 1000, &huge, [](int, size_t) {});
+    CHECK(all.completed);
+    CHECK_EQ(all.tasks_run, size_t{1000});
+    const ParallelForResult none =
+        ParallelFor(shards, 1000, &negative, [](int, size_t) {});
+    CHECK(!none.completed);
+    CHECK_EQ(none.tasks_run, size_t{0});
+  }
 }
 
 TEST_CASE(ForksShareOneCacheAtTheFullGlobalBudget) {
@@ -108,13 +142,15 @@ TEST_CASE(ForksShareOneCacheAtTheFullGlobalBudget) {
   options.cache_capacity_bytes = (size_t{1} << 20) + 7;  // awkward on purpose
   PliEntropyEngine engine(d.relation, options);
   for (int shards : {1, 2, 3, 8}) {
-    auto forks = engine.ForkShards(shards);
+    const std::vector<EngineShard> forks = MakeEngineShards(engine, shards);
     CHECK_EQ(forks.size(), static_cast<size_t>(shards));
-    for (const auto& fork : forks) {
-      CHECK(&fork->cache() == &engine.cache());  // same object, not a slice
-      CHECK_EQ(fork->cache().capacity_bytes(), options.cache_capacity_bytes);
+    for (const EngineShard& fork : forks) {
+      // Same object, not a slice.
+      CHECK(&fork.engine->cache() == &engine.cache());
+      CHECK_EQ(fork.engine->cache().capacity_bytes(),
+               options.cache_capacity_bytes);
       // All forks read the same immutable core.
-      CHECK(&fork->core() == &engine.core());
+      CHECK(&fork.engine->core() == &engine.core());
     }
   }
   CHECK(engine.cache().bytes() <= options.cache_capacity_bytes);
@@ -137,7 +173,8 @@ TEST_CASE(ForkedEnginesAnswerIdenticalEntropies) {
 TEST_CASE(MergeStatsFoldsWorkerCountersExactly) {
   const PlantedDataset d = MakePlanted(6, 2, 17);
   PliEntropyEngine engine(d.relation);
-  auto workers = engine.ForkShards(2);
+  const std::unique_ptr<PliEntropyEngine> workers[2] = {engine.Fork(),
+                                                        engine.Fork()};
   workers[0]->Entropy(AttrSet(0b0111));
   workers[0]->Entropy(AttrSet(0b0111));  // memo hit on the worker
   workers[1]->Entropy(AttrSet(0b1110));
@@ -240,7 +277,7 @@ TEST_CASE(MiningIsThreadCountInvariant) {
 }
 
 TEST_CASE(RankingIsThreadCountInvariant) {
-  // Per-scheme S/E/J scoring shards over the pool the same way MVD mining
+  // Per-scheme S/E/J scoring shards over threads the same way MVD mining
   // does (forked engine workers, results indexed by scheme); the ranked
   // output must be byte-identical at any thread count — same order, same
   // exact metric values, same evaluated count.
@@ -285,7 +322,7 @@ TEST_CASE(RankingIsThreadCountInvariant) {
   }
 
   // An already-expired budget returns the partial (empty) prefix with
-  // kDeadlineExceeded through the pool path too.
+  // kDeadlineExceeded through the threaded path too.
   options.num_threads = 4;
   options.budget_seconds = 1e-9;
   const RankResult expired =
@@ -329,7 +366,7 @@ TEST_CASE(MetricTotalsAreThreadCountInvariant) {
   // semantic counter (oracle calls, seeds, expansions, pairs, separators,
   // MVDs, assembly tallies) is folded once from the canonical merge loop,
   // so the sink snapshot and Maimon::metrics() agree exactly at any thread
-  // count. Only lane-local operational metrics (pool latencies) and cache
+  // count. Only lane-local operational metrics (pool.* latencies) and cache
   // hit/miss splits may move — those are excluded by construction here.
   const PlantedDataset d = MakePlanted(8, 3, 21, /*noise=*/0.02);
   const std::vector<std::string> kInvariant = {
@@ -561,7 +598,7 @@ TEST_CASE(SemijoinReductionIsThreadCountInvariant) {
 
 TEST_CASE(ParallelMiningHonorsTheGlobalBudget) {
   // A wide noisy relation with a near-zero budget must come back quickly
-  // with DeadlineExceeded through the pool path too.
+  // with DeadlineExceeded through the threaded path too.
   const PlantedDataset d = MakePlanted(12, 3, 33, /*noise=*/0.1);
   MaimonConfig config;
   config.epsilon = 0.1;

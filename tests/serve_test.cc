@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -477,6 +478,19 @@ TEST_CASE(PerQueryDeadlineExpiresAsDeadlineExceeded) {
   q.budget_seconds = 0;
   q.count_only = true;
   CHECK(service.Execute(q).status.ok());
+  // So does one whose budget is past what the clock can hold (it must not
+  // wrap to an expired deadline), with the unbudgeted query's rows.
+  q.count_only = false;
+  const serve::QueryResult unbudgeted = service.Execute(q);
+  CHECK(unbudgeted.status.ok());
+  CHECK(unbudgeted.rows > 0);
+  for (double budget : {1e12, std::numeric_limits<double>::infinity()}) {
+    q.budget_seconds = budget;
+    const serve::QueryResult huge = service.Execute(q);
+    CHECK(huge.status.ok());
+    CHECK_EQ(huge.rows, unbudgeted.rows);
+    CHECK(huge.tuples == unbudgeted.tuples);
+  }
 }
 
 TEST_CASE(InvalidQueriesAreRejectedUpFront) {

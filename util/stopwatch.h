@@ -75,11 +75,24 @@ class Deadline {
   /// An infinite deadline (never expires).
   Deadline() : infinite_(true) {}
 
+  /// A deadline `seconds` from now. A budget of 0 or less (-inf included)
+  /// is expired at once; one past what the clock can reach (+inf included)
+  /// and NaN never expire.
   static Deadline After(double seconds) {
+    const Clock::time_point now = Clock::now();
+    const std::chrono::duration<double, Clock::period> ticks =
+        std::chrono::duration<double>(seconds);
+    // A double below the headroom rounded to double is below the exact
+    // headroom, so neither the cast nor the sum below can overflow.
+    if (!(ticks.count() <
+          static_cast<double>((Clock::time_point::max() - now).count()))) {
+      return Infinite();
+    }
     Deadline d;
     d.infinite_ = false;
-    d.end_ = Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                                std::chrono::duration<double>(seconds));
+    d.end_ = ticks.count() > 0
+                 ? now + std::chrono::duration_cast<Clock::duration>(ticks)
+                 : now;
     return d;
   }
   static Deadline Infinite() { return Deadline(); }
