@@ -7,6 +7,8 @@
 // mostly linearly with the row count while the number of minimal
 // separators stays roughly constant.
 //
+// Each row runs Maimon::MineMvds at K = 0 full MVDs per separator, so it
+// times the library's own minimal-separator mining and expands nothing.
 // --threads=N / -tN shards the (a,b) pair grid across N workers (0 = all
 // hardware threads); every row carries a tN marker. On completed (non-TL)
 // runs the separator counts are thread-count-invariant — only time[s]
@@ -35,9 +37,9 @@ void Run(const MinSepsHarnessFlags& flags) {
     for (double frac : {0.1, 0.25, 0.5, 0.75, 1.0}) {
       Relation sample = d.relation.SampleRows(frac, /*seed=*/7);
       for (double eps : {0.0, 0.01, 0.1}) {
-        PairGridMinSeps run =
-            MineAllMinSeps(sample, eps, flags.budget, flags.num_threads,
-                           flags.options, obs.sink());
+        const TimedMvds run =
+            MineMvdsTimed(sample, eps, flags.budget, /*k_per_separator=*/0,
+                          flags.num_threads, obs.sink(), flags.options);
         PrintMinSepsRow(13, name, "rows", sample.NumRows(), eps, run,
                         flags.options, flags.json);
       }

@@ -50,9 +50,6 @@ void RunDataset(const std::string& label, const Relation& relation,
     // quadratic in |M_eps|, and the quality metrics only need diverse
     // support candidates, not every refinement.
     config.mvd.max_full_mvds_per_separator = 3;
-    // Spread the budget over pairs so one explosive pair cannot blank the
-    // whole threshold row.
-    config.mvd.slice_budget_across_pairs = true;
     // Bound the conflict graph on the wide/noisy shapes; enumeration is
     // already capped by max_schemas and the budget.
     config.schemas.max_conflict_mvds = 256;

@@ -15,7 +15,6 @@
 #include <cstring>
 #include <limits>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -228,23 +227,31 @@ inline PlantedDataset LoadShaped(const std::string& name, size_t row_cap,
 }
 
 /// Runs phase one (MVD mining) under a budget and returns the result plus
-/// elapsed seconds.
+/// elapsed seconds, the walk totals and the engine's query count.
+/// k_per_separator = 0 mines minimal separators only (fig13/fig14).
 struct TimedMvds {
   MvdMinerResult result;
   double seconds = 0.0;
   int threads_used = 1;  // actual worker count (resolved, pair-clamped)
+  /// Walk accounting summed over the merged pairs (Maimon::min_sep_stats)
+  /// and the engine's entropy queries, both exact at any thread count on a
+  /// run that did not time out.
+  MinSepsStats walk_stats;
+  uint64_t entropy_queries = 0;
 };
 
 inline TimedMvds MineMvdsTimed(const Relation& relation, double epsilon,
                                double budget_seconds,
                                size_t k_per_separator = SIZE_MAX,
                                int num_threads = 1,
-                               obs::Sink* sink = nullptr) {
+                               obs::Sink* sink = nullptr,
+                               const MinSepsOptions& walk = MinSepsOptions()) {
   MaimonConfig config;
   config.epsilon = epsilon;
   config.mvd_budget_seconds = budget_seconds;
   config.mvd.max_full_mvds_per_separator = k_per_separator;
-  // Report every full MVD: no conflict-graph cap, so no early mining stop.
+  config.mvd.min_seps = walk;
+  // Mine every pair: no conflict-graph cap, so no early mining stop.
   config.schemas.max_conflict_mvds = 0;
   config.num_threads = num_threads;
   config.sink = sink;
@@ -254,84 +261,15 @@ inline TimedMvds MineMvdsTimed(const Relation& relation, double epsilon,
   out.result = maimon.MineMvds();
   out.seconds = watch.ElapsedSeconds();
   out.threads_used = PairGridThreads(relation.NumCols(), num_threads);
+  out.walk_stats = maimon.min_sep_stats();
+  out.entropy_queries = maimon.engine().NumQueries();
   FoldEngineMetrics(sink, maimon.engine().stats());
   return out;
 }
 
-/// Minimal-separator mining over the whole (a,b) pair grid (the step the
-/// paper reports dominates total runtime), sharded across `num_threads`
-/// workers via the same ForEachPairSharded protocol Maimon::MineMvds runs.
-/// On completed (non-TL) runs the distinct separator count is
-/// thread-count-invariant; a TL run stops at a thread-dependent point in
-/// the grid, so its partial count may differ across thread counts.
-struct PairGridMinSeps {
-  size_t separators = 0;
-  double seconds = 0.0;
-  bool timed_out = false;
-  int threads_used = 1;  // actual worker count (resolved, pair-clamped)
-  /// Walk accounting summed over every pair: seeds / expansions / oracle
-  /// verification calls (MinSepsStats), plus total entropy-engine queries
-  /// (shard counters folded back) — the honest cost metric the walk-mode
-  /// comparison in EXPERIMENTS.md reports.
-  MinSepsStats stats;
-  uint64_t entropy_queries = 0;
-};
-
-inline PairGridMinSeps MineAllMinSeps(
-    const Relation& relation, double eps, double budget_seconds,
-    int num_threads, const MinSepsOptions& options = MinSepsOptions(),
-    obs::Sink* sink = nullptr) {
-  PliEntropyEngine engine(relation);
-  Deadline deadline = Deadline::After(budget_seconds);
-  const AttrSet universe = relation.Universe();
-  const int n = relation.NumCols();
-  std::vector<MinSepsResult> per_pair(
-      static_cast<size_t>(n) * static_cast<size_t>(n - 1) / 2);
-
-  PairGridMinSeps out;
-  Stopwatch watch;
-  const PairGridRun run = ForEachPairSharded(
-      &engine, n, num_threads, &deadline,
-      [&](const PairTask& task) {
-        obs::Span span(sink, "minsep.walk");
-        span.Arg("a", task.a);
-        span.Arg("b", task.b);
-        FullMvdSearch search(task.calc, eps, &task.deadline);
-        per_pair[task.index] = MineMinSeps(&search, universe, task.a, task.b,
-                                           &task.deadline, options);
-      },
-      /*merge=*/nullptr, sink);
-
-  std::unordered_set<AttrSet, AttrSetHash> seps;
-  for (const MinSepsResult& result : per_pair) {
-    for (AttrSet s : result.separators) seps.insert(s);
-    out.stats.Accumulate(result.stats);
-    if (!result.status.ok()) out.timed_out = true;
-  }
-  if (!run.completed) out.timed_out = true;
-  out.separators = seps.size();
-  out.seconds = watch.ElapsedSeconds();
-  out.threads_used = run.threads_used;
-  out.entropy_queries = engine.NumQueries();
-
-  if (sink != nullptr) {
-    // Semantic counters fold once, from the deterministic merge above —
-    // never from the sharded workers (obs/trace.h's fold discipline).
-    obs::MetricsRegistry phase;
-    phase.Count("minsep.seeds", out.stats.seeds);
-    phase.Count("minsep.expansions", out.stats.expansions);
-    phase.Count("minsep.oracle_calls", out.stats.oracle_calls);
-    phase.Count("mine.pairs", static_cast<uint64_t>(run.num_pairs));
-    phase.Count("mine.separators", out.separators);
-    sink->Fold(phase);
-    FoldEngineMetrics(sink, engine.stats());
-  }
-  return out;
-}
-
 /// Row marker for thread-scaling runs: "t4", "t4 TL" when the budget blew.
-/// Pass the worker count that actually ran (PairGridRun::threads_used or
-/// PairGridThreads), not the requested knob — a narrow grid clamps it.
+/// Pass the worker count that actually ran (TimedMvds::threads_used), not
+/// the requested knob — a narrow grid clamps it.
 inline std::string ThreadMarker(int threads_used, bool timed_out) {
   return "t" + std::to_string(threads_used) + (timed_out ? " TL" : "");
 }
@@ -349,21 +287,22 @@ inline const char* WalkMarker(const MinSepsOptions& options) {
 /// be diffed mechanically.
 inline void PrintMinSepsJsonRow(int fig, const std::string& dataset,
                                 const char* axis, size_t axis_value,
-                                double eps, const PairGridMinSeps& run,
+                                double eps, const TimedMvds& run,
                                 const MinSepsOptions& options) {
+  const bool timed_out = !run.result.status.ok();
   std::printf(
       "{\"fig\":%d,\"dataset\":\"%s\",\"%s\":%zu,\"eps\":%.2f,"
       "\"seconds\":%.3f,\"minseps\":%zu,\"oracle_calls\":%llu,"
       "\"seeds\":%llu,\"expansions\":%llu,\"entropy_queries\":%llu,"
       "\"threads\":%d,\"timed_out\":%s,\"walk\":\"%s\",\"marker\":\"%s\"}\n",
       fig, dataset.c_str(), axis, axis_value, eps, run.seconds,
-      run.separators,
-      static_cast<unsigned long long>(run.stats.oracle_calls),
-      static_cast<unsigned long long>(run.stats.seeds),
-      static_cast<unsigned long long>(run.stats.expansions),
+      run.result.NumSeparators(),
+      static_cast<unsigned long long>(run.walk_stats.oracle_calls),
+      static_cast<unsigned long long>(run.walk_stats.seeds),
+      static_cast<unsigned long long>(run.walk_stats.expansions),
       static_cast<unsigned long long>(run.entropy_queries), run.threads_used,
-      run.timed_out ? "true" : "false", WalkMarker(options),
-      ThreadMarker(run.threads_used, run.timed_out).c_str());
+      timed_out ? "true" : "false", WalkMarker(options),
+      ThreadMarker(run.threads_used, timed_out).c_str());
   std::fflush(stdout);
 }
 
@@ -372,16 +311,16 @@ inline void PrintMinSepsJsonRow(int fig, const std::string& dataset,
 /// one place, so the two harnesses cannot fork the row schema.
 inline void PrintMinSepsRow(int fig, const std::string& dataset,
                             const char* axis, size_t axis_value, double eps,
-                            const PairGridMinSeps& run,
+                            const TimedMvds& run,
                             const MinSepsOptions& options, bool json) {
   if (json) {
     PrintMinSepsJsonRow(fig, dataset, axis, axis_value, eps, run, options);
     return;
   }
   std::printf("%8zu | %10.2f | %10.3f %10zu %10llu | %s %s\n", axis_value,
-              eps, run.seconds, run.separators,
-              static_cast<unsigned long long>(run.stats.oracle_calls),
-              ThreadMarker(run.threads_used, run.timed_out).c_str(),
+              eps, run.seconds, run.result.NumSeparators(),
+              static_cast<unsigned long long>(run.walk_stats.oracle_calls),
+              ThreadMarker(run.threads_used, !run.result.status.ok()).c_str(),
               WalkMarker(options));
 }
 

@@ -127,6 +127,7 @@ std::vector<Mvd> FullMvdSearch::Find(AttrSet key, AttrSet universe, int a,
                                      bool optimized) {
   stats_ = SearchStats();
   std::vector<Mvd> out;
+  if (max_results == 0) return out;
   if (a == b || key.Contains(a) || key.Contains(b)) return out;
   if (!universe.Contains(a) || !universe.Contains(b)) return out;
 

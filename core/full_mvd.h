@@ -63,7 +63,8 @@ class FullMvdSearch {
 
   /// Enumerates up to `max_results` full MVDs over `universe` with the given
   /// key and pinned pair. Stats are reset per call. On deadline expiry the
-  /// partial result collected so far is returned.
+  /// partial result collected so far is returned. `max_results` = 0 issues
+  /// no query.
   std::vector<Mvd> Find(AttrSet key, AttrSet universe, int a, int b,
                         size_t max_results = SIZE_MAX, bool optimized = true);
 

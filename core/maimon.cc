@@ -34,26 +34,16 @@ struct PairMineResult {
 // `max_mvds` yields a prefix of it. `task.calc` must be owned by the
 // calling thread.
 PairMineResult MineOnePair(const PairTask& task, const MaimonConfig& config,
-                           AttrSet universe, int num_pairs, size_t max_mvds) {
+                           AttrSet universe, size_t max_mvds) {
   PairMineResult out;
   const int a = task.a;
   const int b = task.b;
-  // Optional per-pair slice of the remaining global budget, so one
-  // explosive pair cannot blank every pair after it. With several shards
-  // the slice is computed from the budget remaining when the pair is
-  // claimed — the same greedy split the sequential walk applies.
-  Deadline slice = task.deadline;
-  if (config.mvd.slice_budget_across_pairs && config.mvd_budget_seconds > 0) {
-    const int pairs_left = num_pairs - static_cast<int>(task.index);
-    slice = task.deadline.Slice(task.deadline.RemainingSeconds() /
-                                static_cast<double>(pairs_left));
-  }
-
-  FullMvdSearch search(task.calc, config.epsilon, &slice);
+  FullMvdSearch search(task.calc, config.epsilon, &task.deadline);
   MinSepsResult seps;
   {
     obs::Span span(config.sink, "minsep.walk");
-    seps = MineMinSeps(&search, universe, a, b, &slice, config.mvd.min_seps);
+    seps = MineMinSeps(&search, universe, a, b, &task.deadline,
+                       config.mvd.min_seps);
     span.Arg("a", a);
     span.Arg("b", b);
     span.Arg("seps", seps.separators.size());
@@ -64,9 +54,13 @@ PairMineResult MineOnePair(const PairTask& task, const MaimonConfig& config,
 
   {
     obs::Span span(config.sink, "mvd.expand");
+    bool expired = false;
     for (AttrSet s : seps.separators) {
       if (out.mvds.size() >= max_mvds) break;
+      // Past the deadline the rest of the walk's separators are kept,
+      // unexpanded, so a budget-cut pair still reports what its walk found.
       out.separators.push_back(s);
+      if (expired) continue;
       // Find's DFS order makes a capped search a prefix of the uncapped one.
       const size_t room = std::min(config.mvd.max_full_mvds_per_separator,
                                    max_mvds - out.mvds.size());
@@ -74,11 +68,9 @@ PairMineResult MineOnePair(const PairTask& task, const MaimonConfig& config,
                                   /*optimized=*/true)) {
         out.mvds.push_back(std::move(mvd));
       }
-      if (slice.Expired()) {
-        out.status = Status::DeadlineExceeded("full MVD expansion");
-        break;
-      }
+      expired = task.deadline.Expired();
     }
+    if (expired) out.status = Status::DeadlineExceeded("full MVD expansion");
     span.Arg("a", a);
     span.Arg("b", b);
     span.Arg("mvds", out.mvds.size());
@@ -128,8 +120,7 @@ const MvdMinerResult& Maimon::MineMvds() {
   const PairGridRun run = ForEachPairSharded(
       engine_.get(), n, config_.num_threads, &global,
       [&](const PairTask& task) {
-        per_pair[task.index] =
-            MineOnePair(task, config_, universe, num_pairs, stop_at);
+        per_pair[task.index] = MineOnePair(task, config_, universe, stop_at);
       },
       [&](size_t i) {
         PairMineResult pr = std::move(per_pair[i]);

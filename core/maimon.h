@@ -7,7 +7,9 @@
 //                   separators, then expand each into full MVDs (Sec. 5/6).
 //                   Mines only what assembly can admit: with
 //                   max_conflict_mvds > 0 the pair grid stops once its
-//                   merged prefix holds one MVD more than that cap.
+//                   merged prefix holds one MVD more than that cap. At
+//                   K = 0 full MVDs per separator it mines the minimal
+//                   separators only, which is what fig13/fig14 time.
 //   MineSchemas() — ASMiner (Sec. 7): build the conflict graph over the
 //                   mined full MVDs (scheme/conflict_graph.h), stream its
 //                   maximal independent sets (graph/mis.h), and assemble
@@ -53,10 +55,9 @@ namespace maimon {
 
 struct MvdMinerOptions {
   /// K in getFullMVDs: cap on full MVDs expanded per (separator, pair).
+  /// K = 0 mines minimal separators only: no separator is expanded and no
+  /// query is spent on expansion (fig13/fig14 time the walk this way).
   size_t max_full_mvds_per_separator = SIZE_MAX;
-  /// Split the MVD budget evenly across attribute pairs so one explosive
-  /// pair cannot consume the whole allowance.
-  bool slice_budget_across_pairs = false;
   /// Per-pair separator enumeration knobs (close-separator walk by
   /// default; `exhaustive` selects the lattice-sweep differential oracle).
   MinSepsOptions min_seps;
@@ -73,10 +74,11 @@ struct SchemaMinerOptions {
   /// Cap on mined MVDs admitted as conflict-graph vertices, in mined
   /// order. It also bounds mining: MineMvds() stops the pair grid once the
   /// merged prefix holds max_conflict_mvds + 1 distinct MVDs (see there).
-  /// 0 means admit, and mine, everything — callers that report every full
-  /// MVD (fig18, Table 2) set it. The default bounds the quadratic graph
-  /// build (and the MIS enumerator's n^2-bit complement adjacency) on very
-  /// wide high-eps runs, where mining can produce 10^5+ full MVDs.
+  /// 0 means admit, and mine, everything — callers that mine every pair
+  /// (fig13, fig14, fig18, Table 2) set it. The default bounds the
+  /// quadratic graph build (and the MIS enumerator's n^2-bit complement
+  /// adjacency) on very wide high-eps runs, where mining can produce 10^5+
+  /// full MVDs.
   size_t max_conflict_mvds = 512;
 };
 
@@ -105,8 +107,10 @@ struct MaimonConfig {
 };
 
 struct MvdMinerResult {
-  std::vector<AttrSet> separators;  // distinct minimal separators expanded
-  std::vector<Mvd> mvds;            // distinct full MVDs (mined prefix)
+  /// Distinct minimal separators, in mined order. Each is expanded unless
+  /// the budget ran out first: the walk's separators are kept either way.
+  std::vector<AttrSet> separators;
+  std::vector<Mvd> mvds;  // distinct full MVDs (mined prefix)
   /// kDeadlineExceeded when the mining budget cut the grid short; a stop at
   /// max_conflict_mvds keeps it OK.
   Status status;

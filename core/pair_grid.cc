@@ -31,7 +31,6 @@ PairGridRun ForEachPairSharded(
   }
 
   PairGridRun run;
-  run.num_pairs = static_cast<int>(pairs.size());
   run.threads_used = PairGridThreads(num_cols, num_threads);
 
   // A merge stop cancels through the deadline every walk and expansion
@@ -100,7 +99,7 @@ PairGridRun ForEachPairSharded(
             state[i] = PairState::kRan;
             while (!run.stopped && merged < pairs.size() &&
                    state[merged] == PairState::kRan) {
-              const bool go_on = !merge || merge(merged);
+              const bool go_on = merge(merged);
               ++merged;
               if (!go_on) {
                 run.stopped = true;

@@ -1,9 +1,9 @@
 // Copyright (c) Maimon-cpp authors. Licensed under the MIT license.
 //
-// The one pair-grid sharding protocol: both Maimon::MineMvds and the
-// figure benches drive their per-(a,b)-pair work through this helper, so
-// the runtime the benches measure is exactly the runtime the library
-// ships. The contract mirrors DESIGN.md's concurrency model: workers are
+// The one pair-grid sharding protocol. Its one caller is Maimon::MineMvds;
+// the figure benches that time mining (fig13/fig14/fig18, Table 2) go
+// through that facade, so they measure the runtime the library ships.
+// The contract mirrors DESIGN.md's concurrency model: workers are
 // engine handles forked off the caller's engine (shared immutable core,
 // shared concurrent cache — one global byte budget, no slices), each
 // handle is bound to one thread at a time, and the sequential path
@@ -36,7 +36,7 @@ struct PairTask {
   int a;
   int b;
   /// The grid's deadline, which also expires once a merge stop cancels the
-  /// grid: poll it, or carve slices from it, like any budget.
+  /// grid: poll it like any budget.
   const Deadline& deadline;
   /// The pair's `mine.pair` span (inactive without a sink), for result args.
   obs::Span& span;
@@ -49,13 +49,12 @@ struct PairGridRun {
   /// True when `merge` returned false and ended the grid early.
   bool stopped = false;
   /// Pairs merged, in index order: the kept prefix 0..pairs_merged-1.
-  /// Equals num_pairs unless the grid stopped or timed out.
+  /// Equals the grid's num_cols * (num_cols - 1) / 2 pairs unless the grid
+  /// stopped or timed out.
   int pairs_merged = 0;
   /// Worker count actually used (after resolving 0 = hardware threads and
   /// clamping to the number of pairs).
   int threads_used = 1;
-  /// Total (a,b) pairs in the grid: num_cols * (num_cols - 1) / 2.
-  int num_pairs = 0;
 };
 
 /// The worker count ForEachPairSharded will actually use for a grid over
@@ -68,8 +67,8 @@ int PairGridThreads(int num_cols, int num_threads);
 /// workers otherwise. `fn` must write its output keyed by `PairTask::index`
 /// (never by shard).
 ///
-/// `merge(index)` (nullable) is called once per completed pair, strictly in
-/// index order and never concurrently, as soon as every lower index has
+/// `merge(index)` is called once per completed pair, strictly in index
+/// order and never concurrently, as soon as every lower index has
 /// completed; it may read what fn wrote for that index. Returning false
 /// stops the grid after that pair: unclaimed pairs are skipped, in-flight
 /// ones are cancelled through PairTask::deadline, and neither is merged.
@@ -86,8 +85,7 @@ int PairGridThreads(int num_cols, int num_threads);
 PairGridRun ForEachPairSharded(
     PliEntropyEngine* engine, int num_cols, int num_threads,
     const Deadline* deadline, const std::function<void(const PairTask&)>& fn,
-    const std::function<bool(size_t)>& merge = nullptr,
-    obs::Sink* sink = nullptr);
+    const std::function<bool(size_t)>& merge, obs::Sink* sink = nullptr);
 
 }  // namespace maimon
 

@@ -23,8 +23,8 @@ participate in matching. A row is skipped, not compared, when:
     measurement);
   * the baseline is below --min-seconds (noise floor: a 20 ms row can
     double on scheduler jitter alone);
-  * the row carries no `seconds` at all (fig15's quality rows — matched
-    for presence, never timed).
+  * the row carries no `seconds` at all (fig15's quality rows — never
+    timed, but count-checked as below).
 
 A fresh row that times out where its baseline did not is always a
 failure, whatever the seconds say. Rows present on only one side are
@@ -32,14 +32,17 @@ reported but do not fail the gate (bench configs legitimately drift;
 snapshot-schema drift is caught by the CI key-set check).
 
 Work counts are gated exactly. On every matched pair where neither side
-timed out, the count columns (minseps, oracle_calls, seeds, expansions,
-entropy_queries — the fig13/fig14 rows carry them) must be equal; any
+timed out, the count columns must be equal: minseps, oracle_calls, seeds,
+expansions and entropy_queries on fig13/fig14 rows; schemes, mis,
+conflict_vertices, conflict_edges and join_rows_dp on fig15 rows. Any
 difference fails the gate, whatever the seconds say and below the noise
 floor too. A completed row's counts are a pure function of the code and
 the row's inputs, so a difference is a change in what the miner does,
 which is either a bug or a reason to re-record the snapshot. A row that
 timed out on either side stops at a timing-dependent point, so its counts
-are not compared.
+are not compared. A fig13/fig14 row has timed out when its `timed_out` is
+true; a fig15 row when its `marker` holds " TL" (mining or assembly ran
+out of budget) or its `audit_tl` is true (the audit did).
 
 Timing comparisons assume both sides ran on the same class of machine —
 true for the committed-snapshot flow (snapshots are refreshed from the
@@ -53,9 +56,21 @@ import sys
 
 # Columns that identify a row across runs. Everything else is a metric.
 ID_KEYS = ("fig", "dataset", "rows", "cols", "eps", "threads", "walk")
-# Deterministic work counts, compared exactly on completed rows.
+# Deterministic work counts, compared exactly on completed rows: the
+# separator rows' (fig13/fig14) and fig15's scheme-quality rows'.
 COUNT_KEYS = ("minseps", "oracle_calls", "seeds", "expansions",
               "entropy_queries")
+FIG15_COUNT_KEYS = ("schemes", "mis", "conflict_vertices", "conflict_edges",
+                    "join_rows_dp")
+
+
+def count_keys(row):
+    return FIG15_COUNT_KEYS if row.get("fig") == 15 else COUNT_KEYS
+
+
+def timed_out(row):
+    return bool(row.get("timed_out") or row.get("audit_tl")
+                or " TL" in row.get("marker", ""))
 
 
 def load_rows(path):
@@ -107,10 +122,11 @@ def compare_pair(base_path, fresh_path, threshold, min_seconds):
         if f is None:
             print(f"  [only-baseline] {dict(key)}")
             continue
-        if (not b.get("timed_out") and not f.get("timed_out")
-                and any(k in b for k in COUNT_KEYS)):
+        keys = count_keys(b)
+        if (not timed_out(b) and not timed_out(f)
+                and any(k in b for k in keys)):
             counted += 1
-            for k in COUNT_KEYS:
+            for k in keys:
                 if b.get(k) != f.get(k):
                     failures.append(
                         (key, "COUNT", f"{k} {b.get(k)} -> {f.get(k)}"))
@@ -118,10 +134,10 @@ def compare_pair(base_path, fresh_path, threshold, min_seconds):
             untimed += 1
             continue
         timing = f"{b['seconds']:.3f}s -> {f['seconds']:.3f}s"
-        if f.get("timed_out") and not b.get("timed_out"):
+        if timed_out(f) and not timed_out(b):
             failures.append((key, "REGRESSION", f"{timing} (newly timed out)"))
             continue
-        if b.get("timed_out") or b["seconds"] < min_seconds:
+        if timed_out(b) or b["seconds"] < min_seconds:
             skipped += 1
             continue
         compared += 1

@@ -11,7 +11,8 @@
 //     verifiably separates, with DeadlineExceeded;
 //   * the walk's per-pair stats (seeds / expansions / oracle calls) are
 //     reported, and its oracle-call count stays below the sweep's;
-//   * MvdMinerOptions::min_seps plumbs through the Maimon facade.
+//   * MvdMinerOptions::min_seps plumbs through the Maimon facade, and at
+//     K = 0 the facade reports exactly the per-pair walk.
 
 #include <cstdio>
 #include <set>
@@ -247,6 +248,49 @@ TEST_CASE(ExhaustiveOptionPlumbsThroughTheMaimonFacade) {
   CHECK_EQ(sweep_stats.seeds, uint64_t{0});
   CHECK_EQ(sweep_stats.expansions, uint64_t{0});
   CHECK(close_stats.oracle_calls < sweep_stats.oracle_calls);
+}
+
+TEST_CASE(SeparatorOnlyMiningIsThePerPairWalk) {
+  // fig13/fig14 time Maimon::MineMvds at K = 0 full MVDs per separator and
+  // no conflict-MVD cap. That must report exactly the per-pair walk over a
+  // fresh engine: its separators, its accounting and its entropy queries,
+  // no MVD and not one query more, at every thread count.
+  const PlantedDataset d = MakePlanted(7, 2, 5, /*noise=*/0.05);
+  const double eps = 0.01;
+  PliEntropyEngine engine(d.relation);
+  InfoCalc calc(&engine);
+  FullMvdSearch search(calc, eps, nullptr);
+  const AttrSet universe = d.relation.Universe();
+  std::set<AttrSet> walked;
+  MinSepsStats walk_stats;
+  for (int a = 0; a < d.relation.NumCols(); ++a) {
+    for (int b = a + 1; b < d.relation.NumCols(); ++b) {
+      const MinSepsResult pair = MineMinSeps(&search, universe, a, b, nullptr);
+      CHECK(pair.status.ok());
+      walked.insert(pair.separators.begin(), pair.separators.end());
+      walk_stats.Accumulate(pair.stats);
+    }
+  }
+  CHECK(!walked.empty());
+
+  for (int threads : {1, 2}) {
+    MaimonConfig config;
+    config.epsilon = eps;
+    config.mvd.max_full_mvds_per_separator = 0;
+    config.schemas.max_conflict_mvds = 0;
+    config.num_threads = threads;
+    Maimon maimon(d.relation, config);
+    const MvdMinerResult& mined = maimon.MineMvds();
+    CHECK(mined.status.ok());
+    CHECK_EQ(mined.NumMvds(), size_t{0});
+    CHECK_EQ(mined.NumSeparators(), walked.size());
+    CHECK_EQ(ToSet(mined.separators), walked);
+    const MinSepsStats stats = maimon.min_sep_stats();
+    CHECK_EQ(stats.seeds, walk_stats.seeds);
+    CHECK_EQ(stats.expansions, walk_stats.expansions);
+    CHECK_EQ(stats.oracle_calls, walk_stats.oracle_calls);
+    CHECK_EQ(maimon.engine().NumQueries(), engine.NumQueries());
+  }
 }
 
 }  // namespace

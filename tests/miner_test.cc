@@ -68,6 +68,32 @@ TEST_CASE(PlainAndOptimizedSearchAgree) {
   }
 }
 
+TEST_CASE(FindOfZeroResultsIssuesNoQuery) {
+  // K = 0 full MVDs per separator mines separators only (fig13/fig14): a
+  // Find asked for no result runs neither the contraction nor the root J
+  // check, so it leaves the engine's query count where it was.
+  const PlantedDataset d = MakePlanted(7, 2, 5);
+  PliEntropyEngine engine(d.relation);
+  InfoCalc calc(&engine);
+  FullMvdSearch search(calc, 0.0, nullptr);
+  const AttrSet universe = d.relation.Universe();
+  for (const Mvd& phi : d.schema.Support()) {
+    const int a = phi.deps()[0].First();
+    const int b = phi.deps()[1].First();
+    const uint64_t before = engine.NumQueries();
+    for (bool optimized : {true, false}) {
+      CHECK(search.Find(phi.key(), universe, a, b, /*max_results=*/0,
+                        optimized)
+                .empty());
+      CHECK_EQ(search.stats().j_evaluations, uint64_t{0});
+    }
+    CHECK_EQ(engine.NumQueries(), before);
+    // The planted key does separate a and b: one result costs queries.
+    CHECK(!search.Find(phi.key(), universe, a, b, /*max_results=*/1).empty());
+    CHECK(engine.NumQueries() > before);
+  }
+}
+
 TEST_CASE(MineMinSepsReturnsMinimalSeparators) {
   const PlantedDataset d = MakePlanted(7, 3, 9);
   PliEntropyEngine engine(d.relation);

@@ -2,11 +2,12 @@
 //
 // Wall-clock timing (Stopwatch) and cooperative budgets (Deadline). Every
 // potentially-exponential search in the miner takes a Deadline* and polls it;
-// nullptr means "no budget". Deadlines are value types so a caller can carve
-// per-pair slices out of a global budget. A deadline may also carry a cancel
-// flag: once the flag is set every copy and slice of it reads as expired, so
-// the same polls that enforce the budget also stop work whose result is no
-// longer wanted (the pair grid's merge stop).
+// nullptr means "no budget". Each phase carves one Deadline from its own
+// budget, and every pair of the mining grid polls the same one: there are
+// no per-pair slices. A deadline may also carry a cancel flag: once the
+// flag is set every copy of it reads as expired, so the same polls that
+// enforce the budget also stop work whose result is no longer wanted (the
+// pair grid's merge stop).
 //
 // Stopwatch::NowNs is the ONE monotonic clock source of the runtime: trace
 // span timestamps (obs/trace.h) and deadline polling both read
@@ -99,36 +100,20 @@ class Deadline {
 
   /// A copy of this deadline that also expires once `*cancel` is set
   /// (replacing any flag it had). The flag must outlive every copy; copies
-  /// and Slice()s keep it.
+  /// keep it.
   Deadline CancelledBy(const std::atomic<bool>* cancel) const {
     Deadline d = *this;
     d.cancel_ = cancel;
     return d;
   }
 
-  /// A deadline `seconds` from now that keeps this one's cancel flag.
-  Deadline Slice(double seconds) const {
-    return After(seconds).CancelledBy(cancel_);
-  }
-
   bool Expired() const {
-    return Cancelled() || (!infinite_ && Clock::now() >= end_);
-  }
-
-  /// Seconds left; a large constant when infinite, 0 when expired.
-  double RemainingSeconds() const {
-    if (Cancelled()) return 0.0;
-    if (infinite_) return 1e18;
-    const double left =
-        std::chrono::duration<double>(end_ - Clock::now()).count();
-    return left > 0 ? left : 0.0;
+    return (cancel_ != nullptr && cancel_->load(std::memory_order_relaxed)) ||
+           (!infinite_ && Clock::now() >= end_);
   }
 
  private:
   using Clock = std::chrono::steady_clock;
-  bool Cancelled() const {
-    return cancel_ != nullptr && cancel_->load(std::memory_order_relaxed);
-  }
 
   bool infinite_ = true;
   Clock::time_point end_{};
