@@ -2,10 +2,11 @@
 //
 // Micro-benchmark (google-benchmark): the PLI/CNT-TID entropy engine of
 // Sec. 6.3 vs the naive full-scan engine, across relation sizes and block
-// sizes L. This quantifies the claim that reducing entropy computation to
-// cached stripped-partition intersections is what makes MVDMiner feasible:
-// the PLI engine amortizes to microseconds per query once warm, while the
-// naive engine pays a full scan per distinct attribute set.
+// sizes L, and the engine's one kernel, the row-label fold. This quantifies
+// the claim that reducing entropy computation to folds of cached row labels
+// is what makes MVDMiner feasible: the PLI engine amortizes to microseconds
+// per query once warm, while the naive engine pays a full scan per distinct
+// attribute set.
 //
 // `--hitrate` switches to a counter-based mode (no google-benchmark
 // timing): the same query mix is swept by N workers twice, once over the
@@ -25,6 +26,7 @@
 #include "data/planted.h"
 #include "entropy/naive_engine.h"
 #include "entropy/pli_engine.h"
+#include "entropy/row_labels.h"
 #include "util/rng.h"
 #include "util/parallel_for.h"
 
@@ -125,7 +127,10 @@ void BM_PliBlockSize(benchmark::State& state) {
 }
 BENCHMARK(BM_PliBlockSize)->Arg(2)->Arg(4)->Arg(7)->Arg(10)->Arg(14);
 
-void BM_PartitionIntersect(benchmark::State& state) {
+// One fold in the engine's warm fold-chain shape: X's labels extended by
+// one column into a reused output buffer, with H(X ∪ c) from the same pass.
+// Two 64-value columns: 4,096 pairs, FoldLabels' dense table.
+void BM_LabelFold(benchmark::State& state) {
   const int rows = static_cast<int>(state.range(0));
   Rng rng(5);
   std::vector<uint32_t> c1(rows), c2(rows);
@@ -133,40 +138,19 @@ void BM_PartitionIntersect(benchmark::State& state) {
     c1[i] = static_cast<uint32_t>(rng.Uniform(64));
     c2[i] = static_cast<uint32_t>(rng.Uniform(64));
   }
-  StrippedPartition p1 = StrippedPartition::FromColumn(c1, 64);
-  StrippedPartition p2 = StrippedPartition::FromColumn(c2, 64);
-  IntersectScratch scratch;
+  const Relation r({std::move(c1), std::move(c2)}, {64, 64});
+  const RowLabels x = LabelRows(r, AttrSet::Single(0));
+  const RowLabels column = LabelRows(r, AttrSet::Single(1));
+  FoldScratch scratch;
+  RowLabels out;
   for (auto _ : state) {
-    StrippedPartition p = p1.Intersect(p2, &scratch);
-    benchmark::DoNotOptimize(p.NumGroups());
+    benchmark::DoNotOptimize(FoldLabels(x, column, &scratch, &out));
+    benchmark::DoNotOptimize(out.labels.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * rows);
 }
-BENCHMARK(BM_PartitionIntersect)->Arg(4096)->Arg(65536)->Arg(1 << 20);
-
-// The same kernel in the engine's warm fold-chain shape: reused output
-// buffer (no per-call allocation) and the product's entropy accumulated
-// inline. Compare against BM_PartitionIntersect + an Entropy() re-scan.
-void BM_PartitionIntersectFused(benchmark::State& state) {
-  const int rows = static_cast<int>(state.range(0));
-  Rng rng(5);
-  std::vector<uint32_t> c1(rows), c2(rows);
-  for (int i = 0; i < rows; ++i) {
-    c1[i] = static_cast<uint32_t>(rng.Uniform(64));
-    c2[i] = static_cast<uint32_t>(rng.Uniform(64));
-  }
-  StrippedPartition p1 = StrippedPartition::FromColumn(c1, 64);
-  StrippedPartition p2 = StrippedPartition::FromColumn(c2, 64);
-  IntersectScratch scratch;
-  StrippedPartition out;
-  for (auto _ : state) {
-    double h = 0.0;
-    p1.IntersectInto(p2, &scratch, &out, &h);
-    benchmark::DoNotOptimize(h);
-  }
-  state.SetItemsProcessed(state.iterations() * rows);
-}
-BENCHMARK(BM_PartitionIntersectFused)->Arg(4096)->Arg(65536)->Arg(1 << 20);
+BENCHMARK(BM_LabelFold)->Arg(4096)->Arg(65536)->Arg(1 << 20);
 
 // One worker's share of the query mix: indices congruent to `worker` mod
 // `threads` — deterministic, balanced, and identical across the two modes.

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <utility>
@@ -53,7 +54,13 @@ PairMineResult MineOnePair(const PairTask& task, const MaimonConfig& config,
   if (!seps.status.ok()) out.status = seps.status;
 
   {
-    obs::Span span(config.sink, "mvd.expand");
+    // Only a pair that will expand opens the span: K > 0 and the walk found
+    // a separator. At K = 0 the loop just keeps the walk's separators.
+    std::optional<obs::Span> span;
+    if (config.mvd.max_full_mvds_per_separator > 0 &&
+        !seps.separators.empty()) {
+      span.emplace(config.sink, "mvd.expand");
+    }
     bool expired = false;
     for (AttrSet s : seps.separators) {
       if (out.mvds.size() >= max_mvds) break;
@@ -71,9 +78,11 @@ PairMineResult MineOnePair(const PairTask& task, const MaimonConfig& config,
       expired = task.deadline.Expired();
     }
     if (expired) out.status = Status::DeadlineExceeded("full MVD expansion");
-    span.Arg("a", a);
-    span.Arg("b", b);
-    span.Arg("mvds", out.mvds.size());
+    if (span) {
+      span->Arg("a", a);
+      span->Arg("b", b);
+      span->Arg("mvds", out.mvds.size());
+    }
   }
   task.span.Arg("mvds", out.mvds.size());
   return out;

@@ -22,8 +22,8 @@
 // threads): one ParallelFor call shards the (a, b) pair grid across threads
 // that it starts and joins. Every worker holds a PliEntropyEngine handle
 // forked off the facade's engine — the immutable core (relation,
-// single-column PLIs and entropies) AND the byte-budgeted partition cache
-// are shared, so a partition materialized by any worker is warm for all of
+// single-column row labels and entropies) AND the byte-budgeted label cache
+// are shared, so labels materialized by any worker are warm for all of
 // them — and per-pair results are merged in pair-rank order as each prefix
 // of the grid completes; when a cap stop fires, in-flight pairs past the
 // prefix are cancelled and discarded, and only the merged pairs' engine

@@ -185,7 +185,7 @@ class CloseSeparatorWalk {
   ///      it priced out may still separate under a *different* split. Every
   ///      single-attribute removal is therefore re-checked with FindWitness
   ///      (candidates batch-warmed through EntropyEngine::EntropyBatch so
-  ///      they share cached partitions); any survivor restarts phase 1 from
+  ///      they share cached labels); any survivor restarts phase 1 from
   ///      the new witness.
   ///
   /// Returns false when the deadline expired mid-shrink — the candidate is
@@ -225,7 +225,7 @@ class CloseSeparatorWalk {
       }
       // Phase 2: per-candidate minimality verification with the full
       // oracle. Batch-warm every removal key first so the verification
-      // FindWitness calls start from cached partitions.
+      // FindWitness calls start from cached labels.
       WarmRemovalKeys(s);
       bool dropped = false;
       for (int x : s.ToVector()) {
@@ -251,7 +251,7 @@ class CloseSeparatorWalk {
     }
   }
 
-  /// Stages the partitions of every single-attribute removal of `s` in one
+  /// Stages the labels of every single-attribute removal of `s` in one
   /// engine pass (EntropyBatch orders by width so shared prefixes land in
   /// cache before the queries that extend them).
   void WarmRemovalKeys(AttrSet s) {

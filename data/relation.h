@@ -3,8 +3,8 @@
 // Relation: a column-store over dictionary-encoded values. Every attribute
 // is a dense vector of uint32 codes in [0, DomainSize(attr)); the original
 // string/number values never enter the mining pipeline (entropy only sees
-// equality structure), which is what lets the PLI engine build partitions
-// with counting sorts instead of hashing raw values.
+// equality structure), which is what lets the PLI engine label rows by
+// comparing integer codes instead of raw values.
 
 #ifndef MAIMON_DATA_RELATION_H_
 #define MAIMON_DATA_RELATION_H_

@@ -3,8 +3,8 @@
 // EntropyEngine: the one-method interface every mining layer talks to.
 // H(X) for an attribute set X of the bound relation, in bits. Two
 // implementations exist: NaiveEntropyEngine (full-scan group-by per query,
-// the correctness oracle) and PliEntropyEngine (cached stripped-partition
-// intersections, Sec. 6.3 — the one that makes MVDMiner feasible).
+// the correctness oracle) and PliEntropyEngine (row labels folded from
+// cached subsets, Sec. 6.3 — the one that makes MVDMiner feasible).
 
 #ifndef MAIMON_ENTROPY_ENTROPY_ENGINE_H_
 #define MAIMON_ENTROPY_ENTROPY_ENGINE_H_
@@ -27,10 +27,10 @@ class EntropyEngine {
   /// Batch entry point: H(X) for every set in `queries`, returned in input
   /// order. Implementations may schedule the batch so related queries share
   /// work (the PLI engine computes ascending by width, so shared prefix
-  /// partitions are cached before the queries that extend them ask); the
+  /// labels are cached before the queries that extend them ask); the
   /// base implementation is a plain loop. The close-separator walk drives
   /// its candidate verification through this so one expansion round shares
-  /// cached partitions instead of re-deriving each key's chain.
+  /// cached labels instead of re-deriving each key's chain.
   virtual std::vector<double> EntropyBatch(const std::vector<AttrSet>& queries) {
     std::vector<double> out;
     out.reserve(queries.size());

@@ -27,7 +27,7 @@ bool PliCache::TryReserve(size_t cost) {
   }
 }
 
-PliCache::PartitionRef PliCache::Get(AttrSet key, Stats* stats) {
+PliCache::LabelsRef PliCache::Get(AttrSet key, Stats* stats) {
   Stripe& s = StripeFor(key);
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.index.find(key);
@@ -37,7 +37,7 @@ PliCache::PartitionRef PliCache::Get(AttrSet key, Stats* stats) {
   }
   if (stats != nullptr) ++stats->hits;
   s.lru.splice(s.lru.begin(), s.lru, it->second);
-  return it->second->partition;
+  return it->second->labels;
 }
 
 bool PliCache::Contains(AttrSet key) const {
@@ -78,12 +78,12 @@ void PliCache::UnindexKey(Stripe& s, AttrSet key) {
   }
 }
 
-PliCache::PartitionRef PliCache::BestSubset(AttrSet query, AttrSet* key,
-                                            uint64_t* candidates) {
+PliCache::LabelsRef PliCache::BestSubset(AttrSet query, AttrSet* key,
+                                         uint64_t* candidates) {
   const int query_width = query.Count();
   AttrSet best_key;
   int best_width = 0;
-  PartitionRef best_ref;
+  LabelsRef best_ref;
   uint64_t examined = 0;
   for (Stripe& s : stripes_) {
     std::lock_guard<std::mutex> lock(s.mu);
@@ -99,7 +99,7 @@ PliCache::PartitionRef PliCache::BestSubset(AttrSet query, AttrSet* key,
           best_width = w;
           // Pin under the stripe lock we already hold: no window for a
           // concurrent eviction between probe and fetch.
-          best_ref = s.index.find(k)->second->partition;
+          best_ref = s.index.find(k)->second->labels;
           found = true;
           break;
         }
@@ -113,19 +113,20 @@ PliCache::PartitionRef PliCache::BestSubset(AttrSet query, AttrSet* key,
   return best_ref;
 }
 
-PliCache::PartitionRef PliCache::Put(AttrSet key, StrippedPartition partition,
-                                     Stats* stats) {
-  // Shrink before charging: Intersect leaves vector capacity above size,
-  // and the budget must reflect the bytes actually held while resident.
-  partition.ShrinkToFit();
-  const size_t cost = partition.MemoryBytes();
+PliCache::LabelsRef PliCache::Put(AttrSet key, RowLabels labels,
+                                  Stats* stats) {
+  // Shrink before charging: a reused fold buffer can hold capacity above
+  // its size, and the budget must reflect the bytes actually held while
+  // resident.
+  labels.labels.shrink_to_fit();
+  const size_t cost = labels.MemoryBytes();
   if (cost > capacity_bytes_) return nullptr;
-  auto ref = std::make_shared<const StrippedPartition>(std::move(partition));
+  auto ref = std::make_shared<const RowLabels>(std::move(labels));
 
   // Phase 0: detach any existing entry for the key (a refresh) so its
   // bytes are returned before we reserve the new cost. Not an eviction:
   // the key's data is being replaced, not dropped.
-  bool refresh = false;  // replacing a resident partition is not an insert
+  bool refresh = false;  // replacing resident labels is not an insert
   {
     Stripe& s = StripeFor(key);
     std::lock_guard<std::mutex> lock(s.mu);
@@ -151,15 +152,15 @@ PliCache::PartitionRef PliCache::Put(AttrSet key, StrippedPartition partition,
   }
 
   // Phase 2: publish. Another thread may have inserted the same key while
-  // we held no lock; cached partitions are pure functions of the key, so
-  // keep the resident copy and hand back our reservation.
+  // we held no lock; cached labels are pure functions of the key, so keep
+  // the resident copy and hand back our reservation.
   Stripe& s = StripeFor(key);
   std::lock_guard<std::mutex> lock(s.mu);
   auto it = s.index.find(key);
   if (it != s.index.end()) {
     Release(cost);
     s.lru.splice(s.lru.begin(), s.lru, it->second);
-    return it->second->partition;
+    return it->second->labels;
   }
   s.lru.push_front(Entry{key, ref, cost});
   s.index[key] = s.lru.begin();

@@ -1,12 +1,12 @@
 // Copyright (c) Maimon-cpp authors. Licensed under the MIT license.
 //
-// PliCache: byte-budgeted concurrent LRU cache of materialized stripped
-// partitions, keyed by attribute set. The PLI engine consults it before
-// every intersection chain; MVDMiner's query stream has heavy prefix
-// overlap (separator candidates differ in one or two attributes), which is
-// what makes this cache the difference between feasible and infeasible
-// mining. It holds partitions only: the exact H(X) value memo is
-// thread-confined state of each engine handle (pli_engine.h).
+// PliCache: byte-budgeted concurrent LRU cache of materialized row labels
+// (entropy/row_labels.h), keyed by attribute set. The PLI engine consults it
+// before every fold chain; MVDMiner's query stream has heavy prefix overlap
+// (separator candidates differ in one or two attributes), which is what
+// makes this cache the difference between feasible and infeasible mining.
+// It holds labels only: the exact H(X) value memo is thread-confined state
+// of each engine handle (pli_engine.h).
 //
 // One cache is shared by every engine handle forked from the same core —
 // there are no per-worker budget slices. Concurrency model:
@@ -22,9 +22,9 @@
 //   * Eviction is LRU within a stripe and round-robin across stripes (an
 //     approximation of global LRU; with one stripe it IS global LRU, and
 //     the single-threaded invariant tests pin that case).
-//   * Partitions are held by shared_ptr: Get/Put return a PartitionRef
-//     that keeps the partition alive even if another thread evicts the
-//     entry a moment later. The cache's byte accounting covers resident
+//   * Labels are held by shared_ptr: Get/Put return a LabelsRef that
+//     keeps the labels alive even if another thread evicts the entry a
+//     moment later. The cache's byte accounting covers resident
 //     entries only; a reader's transient pin is its own (bounded) memory.
 //   * Counters live in caller-owned Stats structs (one per engine
 //     handle/thread), passed into each operation — no atomic counter
@@ -39,12 +39,12 @@
 // costs O(candidates actually examined) instead of a full O(#residents)
 // key walk per query.
 //
-// Determinism note: sharing partitions across threads is safe for the
-// thread-count-invariance contract because H(X) is a pure function of the
-// partition (StrippedPartition::Entropy sums in canonical
-// ascending-group-size order), so a value computed from any worker's
-// partition is bit-identical to the value every other worker would
-// compute.
+// Determinism note: sharing labels across threads is safe for the
+// thread-count-invariance contract because the labels of X are canonical
+// (first-occurrence ids) and H(X) is a pure function of them (LabelEntropy
+// and FoldLabels sum in ascending row-count order), so a value computed
+// from any worker's labels is bit-identical to the value every other worker
+// would compute.
 
 #ifndef MAIMON_ENTROPY_PLI_CACHE_H_
 #define MAIMON_ENTROPY_PLI_CACHE_H_
@@ -57,16 +57,16 @@
 #include <unordered_map>
 #include <vector>
 
-#include "entropy/stripped_partition.h"
+#include "entropy/row_labels.h"
 #include "util/attr_set.h"
 
 namespace maimon {
 
 class PliCache {
  public:
-  /// A pin on a cached partition: valid for as long as the caller holds
-  /// it, regardless of concurrent eviction.
-  using PartitionRef = std::shared_ptr<const StrippedPartition>;
+  /// A pin on cached labels: valid for as long as the caller holds it,
+  /// regardless of concurrent eviction.
+  using LabelsRef = std::shared_ptr<const RowLabels>;
 
   /// Per-caller counter block. Each thread (engine handle) owns one and
   /// passes it into cache operations; folding the blocks with
@@ -74,7 +74,7 @@ class PliCache {
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;
-    uint64_t insertions = 0;  // partition entries inserted
+    uint64_t insertions = 0;  // label entries inserted
     uint64_t evictions = 0;
     size_t bytes = 0;  // resident-byte gauge; set from bytes(), never summed
 
@@ -105,16 +105,16 @@ class PliCache {
   PliCache(const PliCache&) = delete;
   PliCache& operator=(const PliCache&) = delete;
 
-  /// Looks up the partition for `key`, promoting the entry to
+  /// Looks up the labels of `key`, promoting the entry to
   /// most-recently-used in its stripe. Counts a hit or a miss into `stats`.
   /// Returns an empty ref on miss.
-  PartitionRef Get(AttrSet key, Stats* stats);
+  LabelsRef Get(AttrSet key, Stats* stats);
 
-  /// True iff a partition is resident for `key`.
+  /// True iff labels are resident for `key`.
   bool Contains(AttrSet key) const;
 
-  /// Widest resident partition whose key is a subset of `query` — the
-  /// engine's intersection-chain starting point. Probes each stripe's
+  /// Widest resident key that is a subset of `query`, and its labels — the
+  /// engine's fold-chain starting point. Probes each stripe's
   /// width buckets in descending width, stopping at the first subset hit
   /// per stripe and skipping buckets no wider than the best found so far,
   /// so the cost is O(candidate keys examined), not O(residents). The
@@ -123,18 +123,18 @@ class PliCache {
   /// `*key` empty when no resident key applies. `candidates` (nullable) is
   /// incremented by the number of keys examined — the
   /// `pli.subset_probe.candidates` counter.
-  PartitionRef BestSubset(AttrSet query, AttrSet* key, uint64_t* candidates);
+  LabelsRef BestSubset(AttrSet query, AttrSet* key, uint64_t* candidates);
 
-  /// Inserts (or refreshes) the partition for `key`. The partition is
-  /// shrunk to fit before being charged, so the budget reflects real
-  /// residency. Evicts least-recently-used entries until the byte budget
-  /// holds — never the entry being inserted; a partition larger than the
-  /// whole budget is rejected. Returns the resident partition (or, if
-  /// another thread raced the same key in first, that thread's identical
-  /// copy); an empty ref iff rejected.
-  PartitionRef Put(AttrSet key, StrippedPartition partition, Stats* stats);
+  /// Inserts (or refreshes) the labels of `key`. They are shrunk to fit
+  /// before being charged, so the budget reflects real residency. Evicts
+  /// least-recently-used entries until the byte budget holds — never the
+  /// entry being inserted; labels larger than the whole budget are
+  /// rejected. Returns the resident labels (or, if another thread raced the
+  /// same key in first, that thread's identical copy); an empty ref iff
+  /// rejected.
+  LabelsRef Put(AttrSet key, RowLabels labels, Stats* stats);
 
-  /// Resident partitions across all stripes.
+  /// Resident entries across all stripes.
   size_t size() const;
   size_t capacity_bytes() const { return capacity_bytes_; }
   /// Resident bytes right now. With reservation-before-insert this never
@@ -146,7 +146,7 @@ class PliCache {
  private:
   struct Entry {
     AttrSet key;
-    PartitionRef partition;
+    LabelsRef labels;
     size_t cost = 0;  // bytes charged while resident
   };
   struct Stripe {

@@ -17,11 +17,12 @@ PliSharedCore::PliSharedCore(const Relation& relation,
   singles_.reserve(static_cast<size_t>(relation.NumCols()));
   single_entropy_.reserve(static_cast<size_t>(relation.NumCols()));
   for (int c = 0; c < relation.NumCols(); ++c) {
-    singles_.push_back(
-        StrippedPartition::FromColumn(relation.Column(c), relation.DomainSize(c)));
+    // LabelRows hashes the codes, so sparse codes cost no domain-sized
+    // array.
+    singles_.push_back(LabelRows(relation, AttrSet::Single(c)));
     // Single-column H is queried by every MvdMeasure: precompute it here
     // rather than burning evictable memo slots on it.
-    single_entropy_.push_back(singles_.back().Entropy());
+    single_entropy_.push_back(LabelEntropy(singles_.back()));
   }
 }
 
@@ -112,28 +113,27 @@ double PliEntropyEngine::Entropy(AttrSet attrs) {
     return memoized;
   }
 
-  // Exact-partition probe — the accounted hit/miss event: a hit means the
-  // partition cache served this attribute set outright, a miss means
-  // intersection work follows.
-  if (PliCache::PartitionRef exact = cache_->Get(attrs, &stats_.cache)) {
+  // Exact-labels probe — the accounted hit/miss event: a hit means the
+  // cache served this attribute set outright, a miss means folds follow.
+  if (PliCache::LabelsRef exact = cache_->Get(attrs, &stats_.cache)) {
     stats_.ObserveDepth(0);
-    const double h = exact->Entropy();
+    const double h = LabelEntropy(*exact);
     memo_.Insert(attrs, h);
     return h;
   }
 
   // Stage 1: best cached starting point via the cache's width index. `cur`
   // aliases either a pinned cache resident (`held` keeps it alive under
-  // concurrent eviction) or a base PLI; it is only read until the first
-  // Intersect.
+  // concurrent eviction) or a single column's labels; it is only read until
+  // the first fold.
   AttrSet have;
-  PliCache::PartitionRef held;
-  const StrippedPartition* cur = nullptr;
+  PliCache::LabelsRef held;
+  const RowLabels* cur = nullptr;
   ++stats_.subset_probes;
   held = cache_->BestSubset(attrs, &have, &stats_.subset_probe_candidates);
   if (held != nullptr) cur = held.get();
   if (cur == nullptr) {
-    // Nothing cached applies: start from a base single-column PLI.
+    // Nothing cached applies: start from a single column's labels.
     const int first = attrs.First();
     have = AttrSet::Single(first);
     cur = &core_->Single(first);
@@ -141,28 +141,26 @@ double PliEntropyEngine::Entropy(AttrSet attrs) {
 
   stats_.ObserveDepth(attrs.Minus(have).Count());
 
-  // Stage 2: fold in the missing attributes one base PLI at a time, staging
+  // Stage 2: fold in the missing attributes one column at a time, staging
   // block-sized intermediates into the LRU cache so later queries that share
   // the prefix start further along. `local` tracks which engine-owned buffer
   // (if any) currently backs `cur`, so the tail staging below can move it
   // out without a const_cast.
   double h = 0.0;
-  bool h_from_fusion = false;
-  StrippedPartition* local = nullptr;
+  bool h_from_fold = false;
+  RowLabels* local = nullptr;
   const std::vector<int> missing = attrs.Minus(have).ToVector();
   for (size_t i = 0; i < missing.size(); ++i) {
     const int c = missing[i];
-    // Ping-pong between the two fold buffers: the chain's k products
-    // reuse two allocations (clear() keeps capacity), and a buffer
-    // donated to the cache by the staging Put below simply re-grows on
-    // its next turn.
-    StrippedPartition* out =
-        (cur == &fold_bufs_[0]) ? &fold_bufs_[1] : &fold_bufs_[0];
-    const bool last = i + 1 == missing.size();
-    cur->IntersectInto(core_->Single(c), &epoch_scratch_, out,
-                       last ? &h : nullptr);
-    if (last) {
-      h_from_fusion = true;
+    // Ping-pong between the two fold buffers: the chain's k folds reuse
+    // two allocations (resize() keeps capacity), and a buffer donated to
+    // the cache by the staging Put below simply re-grows on its next turn.
+    RowLabels* out = (cur == &fold_bufs_[0]) ? &fold_bufs_[1] : &fold_bufs_[0];
+    const double fold_h =
+        FoldLabels(*cur, core_->Single(c), &fold_scratch_, out);
+    if (i + 1 == missing.size()) {
+      h = fold_h;
+      h_from_fold = true;
       ++stats_.fused_entropies;
     }
     local = out;
@@ -173,7 +171,7 @@ double PliEntropyEngine::Entropy(AttrSet attrs) {
     if (have.Count() <= options.block_size && have != attrs &&
         local->MemoryBytes() <= cache_->capacity_bytes()) {
       // Put cannot reject (capacity pre-checked, and shrinking inside Put
-      // only lowers the cost), so the product may be moved into the cache
+      // only lowers the cost), so the labels may be moved into the cache
       // and `cur` re-pointed at the resident (pinned) copy.
       held = cache_->Put(have, std::move(*local), &stats_.cache);
       assert(held != nullptr);
@@ -182,12 +180,11 @@ double PliEntropyEngine::Entropy(AttrSet attrs) {
     }
   }
 
-  // The fused kernel already produced H on the last fold; the only other
-  // way here (a BestSubset race that returned `attrs` itself) scans the
-  // final partition once.
-  if (!h_from_fusion) h = cur->Entropy();
-  // The full query partition is also worth staging when narrow enough:
-  // MVDMiner re-queries supersets of it immediately.
+  // The last fold already produced H; the only other way here (a
+  // BestSubset race that returned `attrs` itself) counts the labels once.
+  if (!h_from_fold) h = LabelEntropy(*cur);
+  // The full query's labels are also worth staging when narrow enough:
+  // MVDMiner re-queries supersets of them immediately.
   if (attrs.Count() <= options.block_size && local != nullptr &&
       local->MemoryBytes() <= cache_->capacity_bytes()) {
     cache_->Put(attrs, std::move(*local), &stats_.cache);
@@ -198,7 +195,7 @@ double PliEntropyEngine::Entropy(AttrSet attrs) {
 
 std::vector<double> PliEntropyEngine::EntropyBatch(
     const std::vector<AttrSet>& queries) {
-  // Ascending-width schedule: a narrow query's partition is staged into the
+  // Ascending-width schedule: a narrow query's labels are staged into the
   // LRU before the wider queries that extend it run, so the batch shares
   // prefix work. Index tiebreak keeps the schedule deterministic; the value
   // memo makes answering in scheduled order equivalent to input order.

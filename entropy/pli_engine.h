@@ -1,44 +1,45 @@
 // Copyright (c) Maimon-cpp authors. Licensed under the MIT license.
 //
-// PliEntropyEngine: the Sec. 6.3 entropy engine. H(X) is computed by
-// intersecting cached stripped partitions instead of scanning the relation:
+// PliEntropyEngine: the Sec. 6.3 entropy engine. H(X) is computed from row
+// labels (entropy/row_labels.h), the engine's one form of X's partition,
+// folded from cached subsets instead of scanning the relation:
 //
 //   1. exact-match value memo: a repeated query is one lookup in the
 //      handle's own EntropyMemo — thread-confined, so no lock and no
 //      shared write on the hit path, and bounded by
 //      EntropyMemo::kMaxSlots. Single columns bypass it: their H is
 //      precomputed at construction;
-//   2. otherwise, start from the largest cached subset partition of X
+//   2. otherwise, start from the labels of the largest cached subset of X
 //      (found via the cache's width index) and fold in the missing
-//      attributes one single-column PLI at a time over the epoch-stamped
-//      scratch (no allocation on the warm path);
-//   3. intermediate partitions with at most `block_size` attributes (the
+//      attributes one single-column labeling at a time (FoldLabels); the
+//      last fold also yields H(X);
+//   3. intermediate labelings with at most `block_size` attributes (the
 //      paper's L, default 10) are staged into a byte-budgeted LRU cache, so
 //      the prefix work is shared across the miner's query stream. Wider
-//      partitions stay transient — they are many and rarely re-usable,
-//      which is exactly the memory/compute trade the L knob controls.
+//      ones stay transient — they are many and rarely re-usable, which is
+//      exactly the memory/compute trade the L knob controls.
 //
 // The engine is split along the concurrency boundary:
 //
 //   PliSharedCore    — immutable after construction: the relation view, one
-//                      StrippedPartition per column, and every single-column
+//                      RowLabels per column, and every single-column
 //                      entropy. Built once, read concurrently by any number
 //                      of workers with no synchronization.
-//   PliCache         — ONE concurrent partition cache (striped locks, one
+//   PliCache         — ONE concurrent label cache (striped locks, one
 //                      global byte budget) shared by every engine handle
-//                      forked from the same core: a partition materialized
-//                      by any worker is immediately a hit for all of them,
+//                      forked from the same core: labels materialized by
+//                      any worker are immediately a hit for all of them,
 //                      and no budget is stranded in cold per-worker slices.
-//   PliEntropyEngine — the per-worker handle: the H(X) value memo, the
-//                      intersect scratch and the query/hit counters. One
+//   PliEntropyEngine — the per-worker handle: the H(X) value memo, the fold
+//                      buffers and scratch, and the query/hit counters. One
 //                      handle is owned by one thread at a time; Fork()
 //                      hands out a handle over the shared core + cache,
 //                      with an empty memo, and MergeStats() folds worker
 //                      counters back so aggregate ablation numbers add up
 //                      exactly across any thread count.
 //
-// Counters for every layer (value hits, PLI hits/misses, evictions, bytes,
-// intersections) feed the ablation bench.
+// Counters for every layer (value hits, cache hits/misses, evictions,
+// bytes, folds) feed the ablation bench.
 
 #ifndef MAIMON_ENTROPY_PLI_ENGINE_H_
 #define MAIMON_ENTROPY_PLI_ENGINE_H_
@@ -51,15 +52,15 @@
 #include "entropy/entropy_engine.h"
 #include "entropy/info_calc.h"
 #include "entropy/pli_cache.h"
-#include "entropy/stripped_partition.h"
+#include "entropy/row_labels.h"
 
 namespace maimon {
 
 struct PliEngineOptions {
-  /// L: partitions with at most this many attributes are cached; wider ones
+  /// L: labelings of at most this many attributes are cached; wider ones
   /// are computed transiently. Sec. 6.3 uses L = 10.
   int block_size = 10;
-  /// Byte budget for the shared partition cache. One global budget: every
+  /// Byte budget for the shared label cache. One global budget: every
   /// engine handle forked from the same core shares the one cache, so no
   /// bytes are sliced away or stranded per worker.
   size_t cache_capacity_bytes = size_t{64} << 20;
@@ -106,7 +107,7 @@ class PliSharedCore {
 
   const Relation& relation() const { return *relation_; }
   const PliEngineOptions& options() const { return options_; }
-  const StrippedPartition& Single(int c) const {
+  const RowLabels& Single(int c) const {
     return singles_[static_cast<size_t>(c)];
   }
   double SingleEntropy(int c) const {
@@ -116,8 +117,8 @@ class PliSharedCore {
  private:
   const Relation* relation_;
   PliEngineOptions options_;
-  std::vector<StrippedPartition> singles_;  // one PLI per column, built once
-  std::vector<double> single_entropy_;      // H per column, never evicted
+  std::vector<RowLabels> singles_;      // one labeling per column, built once
+  std::vector<double> single_entropy_;  // H per column, never evicted
 };
 
 class PliEntropyEngine : public EntropyEngine {
@@ -129,16 +130,16 @@ class PliEntropyEngine : public EntropyEngine {
   double Entropy(AttrSet attrs) override;
   /// Width-ordered batch: narrow sets are computed (and staged into the
   /// cache) before the wider sets that extend them, so one batch of related
-  /// candidates shares prefix partitions. Results come back in input order.
+  /// candidates shares prefix labelings. Results come back in input order.
   std::vector<double> EntropyBatch(const std::vector<AttrSet>& queries) override;
   /// Total queries answered by this shard plus everything merged into it.
   uint64_t NumQueries() const override { return stats_.queries; }
 
   /// A worker handle over this engine's immutable core AND its shared
-  /// concurrent cache — the full byte budget, no slicing. Partitions staged
-  /// by this engine are warm for every worker (and vice versa). The handle
-  /// carries only thread-confined state (an empty value memo, scratch,
-  /// counters) and may be handed to a different thread.
+  /// concurrent cache — the full byte budget, no slicing. Labels staged by
+  /// this engine are warm for every worker (and vice versa). The handle
+  /// carries only thread-confined state (an empty value memo, fold buffers
+  /// and scratch, counters) and may be handed to a different thread.
   std::unique_ptr<PliEntropyEngine> Fork() const;
 
   /// Folds a worker's counters into this engine's merged totals. Counter
@@ -149,23 +150,22 @@ class PliEntropyEngine : public EntropyEngine {
   void MergeStats(const PliEntropyEngine& worker);
 
   struct Stats {
-    /// Intersection-depth histogram: bucket d counts the partition-path
-    /// queries that needed d single-column folds (0 = served outright by an
-    /// exact cached partition). The last bucket absorbs deeper queries.
+    /// Fold-depth histogram: bucket d counts the label-path queries that
+    /// needed d single-column folds (0 = served outright by exact cached
+    /// labels). The last bucket absorbs deeper queries.
     static constexpr int kDepthBuckets = 17;
 
     uint64_t queries = 0;
     uint64_t value_hits = 0;     // answered from the H(X) memo
-    uint64_t intersections = 0;  // partition products performed
-    /// Fused-kernel counters: indexed subset probes issued, candidate keys
-    /// those probes examined (the old full scan examined every resident —
-    /// perf_guard_test bounds the per-probe average), and H values
-    /// produced inline by the one-pass intersect+entropy kernel.
+    uint64_t intersections = 0;  // single-column folds performed
+    /// Indexed subset probes issued, candidate keys those probes examined
+    /// (a full scan would examine every resident — perf_guard_test bounds
+    /// the per-probe average), and H values taken from a query's last fold.
     uint64_t subset_probes = 0;
     uint64_t subset_probe_candidates = 0;
     uint64_t fused_entropies = 0;
     uint64_t depth_hist[kDepthBuckets] = {};
-    PliCache::Stats cache;       // partition LRU counters
+    PliCache::Stats cache;       // label LRU counters
 
     void ObserveDepth(int depth) {
       if (depth < 0) depth = 0;
@@ -221,13 +221,13 @@ class PliEntropyEngine : public EntropyEngine {
                    std::shared_ptr<PliCache> cache);
 
   std::shared_ptr<const PliSharedCore> core_;
-  std::shared_ptr<PliCache> cache_;  // shared partition cache
+  std::shared_ptr<PliCache> cache_;  // shared label cache
   EntropyMemo memo_;                 // this handle's H(X) values
-  IntersectScratch epoch_scratch_;   // intersect kernel tag scratch
   /// Fold-chain output buffers, ping-ponged so a depth-k chain reuses two
-  /// allocations instead of making k. A buffer whose partition is staged
+  /// allocations instead of making k. A buffer whose labels are staged
   /// into the cache donates its storage (moved out) and re-grows later.
-  StrippedPartition fold_bufs_[2];
+  RowLabels fold_bufs_[2];
+  FoldScratch fold_scratch_;  // FoldLabels' tables, freed with the handle
   /// This handle's counters plus every folded worker's; `cache.bytes` stays
   /// 0 here (stats() reads the gauge off the shared cache).
   Stats stats_;
@@ -249,13 +249,14 @@ class MetricsRegistry;
 }  // namespace obs
 
 /// Exports an engine's counters into an obs registry under the `pli.*`
-/// namespace: queries / value_hits / intersections, the fused-kernel
-/// counters (`pli.subset_probe.probes`, `pli.subset_probe.candidates`,
-/// `pli.fused.entropies`), the cache counters
-/// (hits, misses, insertions, evictions), the
+/// namespace: queries / value_hits / intersections (folds), the probe and
+/// last-fold counters (`pli.subset_probe.probes`,
+/// `pli.subset_probe.candidates`, `pli.fused.entropies`), the cache
+/// counters (hits, misses, insertions, evictions), the
 /// `pli.cache.resident_bytes` gauge (high-water across folds), and the
-/// `pli.intersect_depth` histogram. Fold ONCE per engine, after its
-/// workers' stats are merged — typically right before a bench reports.
+/// `pli.intersect_depth` (fold depth) histogram. Fold ONCE per engine,
+/// after its workers' stats are merged — typically right before a bench
+/// reports.
 void AppendEngineMetrics(const PliEntropyEngine::Stats& stats,
                          obs::MetricsRegistry* registry);
 

@@ -26,12 +26,11 @@ SchemaReport EvaluateSchema(const Schema& schema, const InfoCalc& oracle,
 
   // Distinct projections (the decomposed storage): a relation's distinct
   // tuples are the first-occurrence rows of its labels.
-  std::vector<const RowLabels*> nodes(m);
+  std::vector<const std::vector<uint32_t>*> nodes(m);
   size_t projected_cells = 0;
   for (size_t v = 0; v < m; ++v) {
-    nodes[v] = &labels->Of(rels[v]);
-    projected_cells +=
-        nodes[v]->NumDistinct() * static_cast<size_t>(rels[v].Count());
+    nodes[v] = &labels->FirstRows(rels[v]);
+    projected_cells += nodes[v]->size() * static_cast<size_t>(rels[v].Count());
   }
   const size_t original_cells = relation.NumRows() *
                                 static_cast<size_t>(relation.NumCols());
@@ -88,10 +87,10 @@ SchemaReport EvaluateSchema(const Schema& schema, const InfoCalc& oracle,
       const RowLabels& up =
           labels->Of(rels[v].Intersect(rels[static_cast<size_t>(parent[v])]));
       up_sep = up.labels.data();
-      message[v].assign(up.NumDistinct(), 0.0);
+      message[v].assign(up.num_distinct, 0.0);
     }
     double total = 0.0;
-    for (uint32_t row : nodes[v]->first_rows) {
+    for (uint32_t row : *nodes[v]) {
       double weight = 1.0;
       for (size_t k = 0; k < kids.size(); ++k) {
         weight *= message[static_cast<size_t>(kids[k])][child_sep[k][row]];
@@ -113,7 +112,7 @@ SchemaReport EvaluateSchema(const Schema& schema, const InfoCalc& oracle,
   // Spurious rate vs the distinct original rows (the join has set
   // semantics; exact decompositions land at E = 0).
   const double original_distinct =
-      static_cast<double>(labels->Of(universe).NumDistinct());
+      static_cast<double>(labels->Of(universe).num_distinct);
   if (report.join_rows > 0.0) {
     const double spurious = report.join_rows - original_distinct;
     report.spurious_pct =

@@ -5,7 +5,7 @@
 // size behind E is computed exactly with the acyclic-join counting DP over
 // the schema's join tree (maximum-overlap spanning tree) — no join is ever
 // materialized, so wide/near-product schemas stay cheap to score. S, E and
-// the DP read only integer row labels (join/row_labels.h); the counting DP
+// the DP read only integer row labels (entropy/row_labels.h); the counting DP
 // calls nothing in decomp/, so it stays an independent oracle for the
 // materialized join there.
 
@@ -15,7 +15,7 @@
 #include "core/schema.h"
 #include "data/relation.h"
 #include "entropy/info_calc.h"
-#include "join/row_labels.h"
+#include "entropy/row_labels.h"
 
 namespace maimon {
 

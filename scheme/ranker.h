@@ -6,7 +6,7 @@
 // Scoring a scheme is the expensive step (a counting DP over its join
 // tree), so ranking is deadline-bounded: on expiry the schemes scored so
 // far are ranked and returned with kDeadlineExceeded. One call labels each
-// distinct attribute set of its schemes once (join/row_labels.h) and frees
+// distinct attribute set of its schemes once (entropy/row_labels.h) and frees
 // the labels on return.
 
 #ifndef MAIMON_SCHEME_RANKER_H_

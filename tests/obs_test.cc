@@ -324,6 +324,49 @@ TEST_CASE(PipelineEmitsPhaseSpansAndCounters) {
   CHECK(profiled_mining);
 }
 
+// A pair opens an mvd.expand span only when it will expand: K > 0 full MVDs
+// per separator and a walk that found a separator. So at K = 0 there is no
+// such span, and otherwise there is one per minsep.walk span whose `seps`
+// is non-zero.
+TEST_CASE(MvdExpandSpansOnlyForPairsThatExpand) {
+  PlantedSpec spec;
+  spec.num_attrs = 7;
+  spec.num_bags = 3;
+  spec.root_rows = 96;
+  spec.max_rows = 384;
+  spec.noise_fraction = 0.02;
+  spec.domain_size = 6;
+  spec.seed = 23;
+  const PlantedDataset d = GeneratePlanted(spec);
+
+  for (size_t k : {size_t{0}, size_t{3}}) {
+    obs::Sink sink;
+    MaimonConfig config;
+    config.epsilon = 0.05;
+    config.mvd.max_full_mvds_per_separator = k;
+    config.schemas.max_conflict_mvds = 0;  // mine every pair
+    config.sink = &sink;
+    Maimon maimon(d.relation, config);
+    CHECK(maimon.MineMvds().status.ok());
+
+    uint64_t walks_with_seps = 0;
+    uint64_t expand_spans = 0;
+    sink.ForEachEvent([&](int, const std::string&, const obs::TraceEvent& e) {
+      const std::string name = e.name;
+      if (name == "minsep.walk" &&
+          e.args_json.find("\"seps\":0") == std::string::npos) {
+        ++walks_with_seps;
+      }
+      if (name == "mvd.expand") {
+        ++expand_spans;
+        CHECK(e.args_json.find("\"mvds\":") != std::string::npos);
+      }
+    });
+    CHECK(walks_with_seps > 0);
+    CHECK_EQ(expand_spans, k == 0 ? uint64_t{0} : walks_with_seps);
+  }
+}
+
 // Structural scan of a JSON document: brace/bracket balance outside string
 // literals plus basic shape checks. Not a full parser — CI runs the real
 // json.load — but catches truncation, bad escaping and comma slips.
