@@ -15,11 +15,14 @@
 // point lookup on one projection, a single-attribute scan, an attribute
 // pair plus an equality selection, and an attribute triple plus a range
 // selection; every other query is count-only. `--queries=N` is the TOTAL
-// query count per row (split across the client threads), so each row does
-// the same work and the wall times are comparable across thread counts.
+// query count per row: query i of a row is workload entry i mod 256, and
+// each client thread runs one contiguous slice of those N, so the 1-, 8-
+// and 64-client rows run the same query multiset and read the same
+// result_rows, and their wall times are comparable.
 //
 // Flags: --queries=N (default 4096), --mine-budget=S (default 5.0),
-// --json (JSONL rows for scripts/bench_trend.py; the committed
+// --json (JSONL rows for scripts/bench_trend.py, each stamped with the
+// host's online core count and the compiler; the committed
 // BENCH_serve.json is this harness at the CI smoke flags), --trace=FILE /
 // --metrics=FILE (ObsSession). A nursery mining time-limit marks that
 // dataset's rows timed_out so the trend gate skips them (the mined schema,
@@ -38,6 +41,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include <unistd.h>
 
 #include "bench/bench_util.h"
 #include "core/maimon.h"
@@ -132,13 +137,12 @@ struct LoopResult {
   uint64_t errors = 0;
 };
 
-// Closed loop: each of `threads` clients fires its share back-to-back.
+// Closed loop: each of `threads` clients fires its slice of the row's
+// `total_queries` back-to-back.
 LoopResult RunClosedLoop(const serve::QueryService& service,
                          const std::vector<serve::Query>& workload,
                          int threads, size_t total_queries) {
-  const size_t per_thread =
-      (total_queries + static_cast<size_t>(threads) - 1) /
-      static_cast<size_t>(threads);
+  const size_t clients = static_cast<size_t>(threads);
   std::atomic<uint64_t> rows{0};
   std::atomic<uint64_t> errors{0};
   std::vector<std::thread> workers;
@@ -149,10 +153,12 @@ LoopResult RunClosedLoop(const serve::QueryService& service,
     workers.emplace_back([&, t] {
       uint64_t local_rows = 0;
       uint64_t local_errors = 0;
-      for (size_t i = 0; i < per_thread; ++i) {
-        const serve::Query& q =
-            workload[(static_cast<size_t>(t) * 131 + i) % workload.size()];
-        const serve::QueryResult res = service.Execute(q);
+      const size_t begin = total_queries * static_cast<size_t>(t) / clients;
+      const size_t end =
+          total_queries * (static_cast<size_t>(t) + 1) / clients;
+      for (size_t i = begin; i < end; ++i) {
+        const serve::QueryResult res =
+            service.Execute(workload[i % workload.size()]);
         if (res.status.ok()) {
           local_rows += res.rows;
         } else {
@@ -166,12 +172,22 @@ LoopResult RunClosedLoop(const serve::QueryService& service,
   }
   for (std::thread& w : workers) w.join();
   LoopResult out;
-  out.executed = per_thread * static_cast<size_t>(threads);
+  out.executed = total_queries;
   out.seconds = watch.ElapsedSeconds();
   out.result_rows = rows.load();
   out.errors = errors.load();
   return out;
 }
+
+// The compiler that built this binary, e.g. "gcc 12.2.0".
+constexpr const char* kCompiler =
+#if defined(__clang__)
+    "clang " __clang_version__;
+#elif defined(__GNUC__)
+    "gcc " __VERSION__;
+#else
+    "unknown";
+#endif
 
 void PrintRow(const std::string& dataset, size_t rows, int cols, double eps,
               int threads, const LoopResult& run, bool timed_out,
@@ -181,12 +197,13 @@ void PrintRow(const std::string& dataset, size_t rows, int cols, double eps,
         "{\"fig\":0,\"dataset\":\"%s\",\"rows\":%zu,\"cols\":%d,"
         "\"eps\":%.2f,\"threads\":%d,\"queries\":%zu,\"seconds\":%.3f,"
         "\"qps\":%.1f,\"result_rows\":%llu,\"errors\":%llu,"
-        "\"timed_out\":%s}\n",
+        "\"timed_out\":%s,\"nproc\":%ld,\"compiler\":\"%s\"}\n",
         dataset.c_str(), rows, cols, eps, threads, run.executed, run.seconds,
         static_cast<double>(run.executed) / std::max(run.seconds, 1e-9),
         static_cast<unsigned long long>(run.result_rows),
         static_cast<unsigned long long>(run.errors),
-        timed_out ? "true" : "false");
+        timed_out ? "true" : "false", ::sysconf(_SC_NPROCESSORS_ONLN),
+        kCompiler);
     std::fflush(stdout);
     return;
   }

@@ -8,9 +8,20 @@
 #include <vector>
 
 #include "decomp/projection_store.h"
-#include "join/join_tree.h"
 
 namespace maimon {
+namespace {
+
+// Byte-packed key of a whole tuple. The audit keys its membership and
+// distinct-row sets on these strings on purpose: it is the oracle for the
+// id-keyed executor and projection store, so it shares no labeling code
+// with them.
+std::string PackFullTupleKey(const std::vector<uint32_t>& tuple) {
+  return std::string(reinterpret_cast<const char*>(tuple.data()),
+                     tuple.size() * sizeof(uint32_t));
+}
+
+}  // namespace
 
 DecompositionAudit DecomposeAndAudit(const Relation& relation,
                                      const Schema& schema,

@@ -2,11 +2,9 @@
 
 #include "decomp/projection_store.h"
 
-#include <string>
-#include <unordered_set>
 #include <utility>
 
-#include "join/join_tree.h"
+#include "decomp/tuple_ids.h"
 
 namespace maimon {
 
@@ -21,17 +19,17 @@ ProjectionStore::ProjectionStore(const Relation& relation,
     p.codes.resize(p.columns.size());
     for (int c : p.columns) p.domains.push_back(relation.DomainSize(c));
 
-    // Hash-based distinct in row order over the projected columns: codes
-    // are copied verbatim, so the distinct rows here are exactly the
-    // distinct projected rows of the source relation.
-    std::unordered_set<std::string> seen;
-    seen.reserve(relation.NumRows());
+    // Distinct in row order over the projected columns: a row is kept
+    // when its tuple takes a new id. Codes are copied verbatim, so the
+    // distinct rows here are exactly the distinct projected rows of the
+    // source relation.
+    TupleIdTable seen(p.columns.size());
     std::vector<uint32_t> tuple(p.columns.size());
     for (size_t r = 0; r < relation.NumRows(); ++r) {
       for (size_t c = 0; c < tuple.size(); ++c) {
         tuple[c] = relation.Value(r, p.columns[c]);
       }
-      if (!seen.insert(PackFullTupleKey(tuple)).second) continue;
+      if (!seen.Insert(tuple.data()).second) continue;
       for (size_t c = 0; c < tuple.size(); ++c) p.codes[c].push_back(tuple[c]);
     }
     projections_.push_back(std::move(p));

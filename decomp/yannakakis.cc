@@ -4,37 +4,38 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cstring>
 #include <numeric>
-#include <unordered_set>
 #include <utility>
 
+#include "decomp/tuple_ids.h"
 #include "util/parallel_for.h"
 
 namespace maimon {
 namespace {
 
 // Positions (within `columns`) of the attributes in `shared`.
-std::vector<int> SharedPositions(const std::vector<int>& columns,
-                                 AttrSet shared) {
-  std::vector<int> out;
+std::vector<size_t> SharedPositions(const std::vector<int>& columns,
+                                    AttrSet shared) {
+  std::vector<size_t> out;
   for (size_t i = 0; i < columns.size(); ++i) {
-    if (shared.Contains(columns[i])) out.push_back(static_cast<int>(i));
+    if (shared.Contains(columns[i])) out.push_back(i);
   }
   return out;
 }
 
-// Byte-packed key of row `r` of `p` over the column `positions`: the same
-// bytes PackTupleKey packs from the row as a row-major tuple.
-std::string RowKey(const StoredProjection& p, const std::vector<int>& positions,
-                   uint32_t r) {
-  std::string key(positions.size() * sizeof(uint32_t), '\0');
-  for (size_t i = 0; i < positions.size(); ++i) {
-    std::memcpy(&key[i * sizeof(uint32_t)],
-                &p.codes[static_cast<size_t>(positions[i])][r],
-                sizeof(uint32_t));
+// The id in `table` of every row of `p`'s tuple over the column `positions`.
+std::vector<uint32_t> LabelBy(const StoredProjection& p,
+                              const std::vector<size_t>& positions,
+                              TupleIdTable* table) {
+  std::vector<uint32_t> ids(p.NumRows());
+  std::vector<uint32_t> tuple(positions.size());
+  for (size_t r = 0; r < ids.size(); ++r) {
+    for (size_t i = 0; i < positions.size(); ++i) {
+      tuple[i] = p.codes[positions[i]][r];
+    }
+    ids[r] = table->Insert(tuple.data()).first;
   }
-  return key;
+  return ids;
 }
 
 std::vector<ProjectionRows> EveryRow(const ProjectionStore& store) {
@@ -48,47 +49,101 @@ std::vector<ProjectionRows> EveryRow(const ProjectionStore& store) {
   return inputs;
 }
 
+JoinTree TreeOf(const ProjectionStore& store) {
+  std::vector<AttrSet> rels;
+  rels.reserve(store.NumProjections());
+  for (const StoredProjection& p : store.projections()) rels.push_back(p.attrs);
+  return BuildMaxOverlapJoinTree(rels);
+}
+
+// One node of Execute's enumeration, in preorder: its live rows grouped by
+// the separator id of its parent edge (the rows of id k are rows[offsets[k]
+// .. offsets[k + 1]), in live order; the root is one group, id 0), and the
+// output columns it writes, as (code array, output slot).
+struct Step {
+  const std::vector<uint32_t>* parent_ids = nullptr;  // null at the root
+  size_t parent_step = 0;
+  std::vector<uint32_t> offsets;
+  std::vector<uint32_t> rows;
+  std::vector<std::pair<const std::vector<uint32_t>*, size_t>> writes;
+};
+
+struct Walk {
+  std::vector<Step> steps;
+  std::vector<uint32_t> chosen;  // the current row of each step
+  std::vector<uint32_t> out;
+  const YannakakisOptions* options = nullptr;
+  JoinResult* result = nullptr;
+  uint64_t polls = 0;
+};
+
+// Depth-first extension over preorder position `depth`: each row of the
+// step's group for the parent's current row, then everything below it.
+// Returns false on deadline expiry, polled every 1024 rows visited.
+bool Extend(Walk* w, size_t depth) {
+  if (depth == w->steps.size()) {
+    ++w->result->rows;
+    if (w->options->on_row) w->options->on_row(w->out);
+    if (w->options->materialize) w->result->tuples.push_back(w->out);
+    return true;
+  }
+  const Step& step = w->steps[depth];
+  const uint32_t id = step.parent_ids == nullptr
+                          ? 0
+                          : (*step.parent_ids)[w->chosen[step.parent_step]];
+  for (uint32_t k = step.offsets[id]; k < step.offsets[id + 1]; ++k) {
+    const uint32_t r = step.rows[k];
+    w->chosen[depth] = r;
+    for (const auto& [codes, slot] : step.writes) w->out[slot] = (*codes)[r];
+    if (!Extend(w, depth + 1)) return false;
+    if ((++w->polls & 1023) == 0 && DeadlineExpired(w->options->deadline)) {
+      return false;
+    }
+  }
+  return true;
+}
+
 }  // namespace
 
+EdgeIds LabelEdge(const StoredProjection& child,
+                  const StoredProjection& parent) {
+  const AttrSet sep = child.attrs.Intersect(parent.attrs);
+  TupleIdTable table(static_cast<size_t>(sep.Count()));
+  EdgeIds ids;
+  ids.child = LabelBy(child, SharedPositions(child.columns, sep), &table);
+  ids.parent = LabelBy(parent, SharedPositions(parent.columns, sep), &table);
+  ids.num_ids = static_cast<uint32_t>(table.size());
+  return ids;
+}
+
+// Every row of every projection, along the store's own join tree; the
+// edges are labeled here, once both endpoints are in place.
 YannakakisExecutor::YannakakisExecutor(const ProjectionStore& store)
-    : YannakakisExecutor(EveryRow(store)) {}
-
-YannakakisExecutor::YannakakisExecutor(std::vector<ProjectionRows> inputs) {
-  std::vector<AttrSet> rels;
-  rels.reserve(inputs.size());
-  AttrSet universe;
-  for (const ProjectionRows& in : inputs) {
-    rels.push_back(in.projection->attrs);
-    universe = universe.Union(in.projection->attrs);
-  }
-  tree_ = BuildMaxOverlapJoinTree(rels);
-
-  out_columns_ = universe.ToVector();
-  std::vector<size_t> slot_of(static_cast<size_t>(AttrSet::kMaxAttrs), 0);
-  for (size_t i = 0; i < out_columns_.size(); ++i) {
-    slot_of[static_cast<size_t>(out_columns_[i])] = i;
-  }
-  nodes_.resize(inputs.size());
-  out_positions_.resize(inputs.size());
-  for (size_t v = 0; v < inputs.size(); ++v) {
-    Node& node = nodes_[v];
-    node.projection = inputs[v].projection;
-    node.live = std::move(inputs[v].rows);
-    for (int c : node.projection->columns) {
-      out_positions_[v].push_back(slot_of[static_cast<size_t>(c)]);
-    }
+    : YannakakisExecutor(EveryRow(store), TreeOf(store), {}) {
+  owned_edges_.resize(nodes_.size());
+  for (size_t v = 0; v < nodes_.size(); ++v) {
     const int parent = tree_.parent[v];
     if (parent < 0) continue;
-    const StoredProjection& up =
-        *inputs[static_cast<size_t>(parent)].projection;
-    const AttrSet sep = rels[v].Intersect(up.attrs);
-    node.sep_positions = SharedPositions(node.projection->columns, sep);
-    node.parent_positions = SharedPositions(up.columns, sep);
-    for (int p : node.sep_positions) {
-      node.sep_slots.push_back(
-          static_cast<int>(out_positions_[v][static_cast<size_t>(p)]));
-    }
+    owned_edges_[v] = LabelEdge(*nodes_[v].projection,
+                                *nodes_[static_cast<size_t>(parent)].projection);
+    nodes_[v].up = &owned_edges_[v];
   }
+}
+
+YannakakisExecutor::YannakakisExecutor(std::vector<ProjectionRows> inputs,
+                                       JoinTree tree,
+                                       const std::vector<const EdgeIds*>& edges)
+    : tree_(std::move(tree)), nodes_(inputs.size()) {
+  for (size_t v = 0; v < inputs.size(); ++v) {
+    nodes_[v].projection = inputs[v].projection;
+    nodes_[v].live = std::move(inputs[v].rows);
+    if (v < edges.size()) nodes_[v].up = edges[v];
+    universe_ = universe_.Union(nodes_[v].projection->attrs);
+  }
+}
+
+std::vector<int> YannakakisExecutor::OutputColumns(AttrSet output) const {
+  return (output.Empty() ? universe_ : universe_.Intersect(output)).ToVector();
 }
 
 Status YannakakisExecutor::Reduce(const Deadline* deadline, int num_threads,
@@ -127,26 +182,28 @@ Status YannakakisExecutor::ReduceImpl(const Deadline* deadline,
 
   std::vector<uint64_t> dropped(nodes_.size(), 0);
   std::vector<uint64_t> passes(nodes_.size(), 0);
-  // Semijoins node `target` with node `source` on their separator (at
-  // `target_pos` / `source_pos`): keeps the target's live rows whose key
-  // appears among the source's, in order, so the reduced lists are
-  // scheduling-independent. The deadline is polled every 1024 rows of
-  // either loop — a single huge node must not overrun a per-query budget
-  // by a whole level. Returns false on expiry: a partial key set is never
-  // semijoined against (it would drop rows that do have partners), and the
-  // target's unexamined tail is kept unfiltered, so the node stays a valid
-  // (merely under-reduced) projection.
-  const auto semijoin = [&](size_t target, const std::vector<int>& target_pos,
-                            size_t source, const std::vector<int>& source_pos) {
-    const Node& from = nodes_[source];
-    std::unordered_set<std::string> keys;
-    keys.reserve(from.live.size());
-    for (size_t i = 0; i < from.live.size(); ++i) {
+  // Semijoins node `target` with node `source` across the edge whose ids
+  // are `target_ids` / `source_ids` (num_ids of them): marks the source's
+  // ids, then keeps the target's live rows whose id is marked, in order,
+  // so the reduced lists are scheduling-independent. The deadline is
+  // polled every 1024 rows of either loop — a single huge node must not
+  // overrun a per-query budget by a whole level. Returns false on expiry:
+  // a partial mark set is never semijoined against (it would drop rows
+  // that do have partners), and the target's unexamined tail is kept
+  // unfiltered, so the node stays a valid (merely under-reduced)
+  // projection.
+  const auto semijoin = [&](size_t target,
+                            const std::vector<uint32_t>& target_ids,
+                            size_t source,
+                            const std::vector<uint32_t>& source_ids,
+                            uint32_t num_ids) {
+    const std::vector<uint32_t>& from = nodes_[source].live;
+    std::vector<uint8_t> marked(num_ids, 0);
+    for (size_t i = 0; i < from.size(); ++i) {
       if (((i + 1) & 1023) == 0 && DeadlineExpired(deadline)) return false;
-      keys.insert(RowKey(*from.projection, source_pos, from.live[i]));
+      marked[source_ids[from[i]]] = 1;
     }
     ++passes[target];
-    const StoredProjection& to = *nodes_[target].projection;
     std::vector<uint32_t>& live = nodes_[target].live;
     size_t kept = 0;
     for (size_t i = 0; i < live.size(); ++i) {
@@ -155,7 +212,7 @@ Status YannakakisExecutor::ReduceImpl(const Deadline* deadline,
                    live.begin() + static_cast<std::ptrdiff_t>(i));
         return false;
       }
-      if (keys.count(RowKey(to, target_pos, live[i])) > 0) {
+      if (marked[target_ids[live[i]]] != 0) {
         live[kept++] = live[i];
       } else {
         ++dropped[target];
@@ -194,8 +251,8 @@ Status YannakakisExecutor::ReduceImpl(const Deadline* deadline,
   const char* phase = "semijoin reducer (leaf-to-root)";
   for (size_t d = levels.size(); d-- > 0 && !expired.load();) {
     run_level(levels[d], [&](size_t v, size_t c) {
-      return semijoin(v, nodes_[c].parent_positions, c,
-                      nodes_[c].sep_positions);
+      const EdgeIds& e = *nodes_[c].up;
+      return semijoin(v, e.parent, c, e.child, e.num_ids);
     });
   }
   // Root-to-leaf: each child is filtered against its (now fully reduced)
@@ -203,8 +260,8 @@ Status YannakakisExecutor::ReduceImpl(const Deadline* deadline,
   if (!expired.load()) phase = "semijoin reducer (root-to-leaf)";
   for (size_t d = 0; d + 1 < levels.size() && !expired.load(); ++d) {
     run_level(levels[d], [&](size_t v, size_t c) {
-      return semijoin(c, nodes_[c].sep_positions, v,
-                      nodes_[c].parent_positions);
+      const EdgeIds& e = *nodes_[c].up;
+      return semijoin(c, e.child, v, e.parent, e.num_ids);
     });
   }
   for (uint64_t d : dropped) semijoin_dropped_ += d;
@@ -216,26 +273,63 @@ Status YannakakisExecutor::ReduceImpl(const Deadline* deadline,
 
 JoinResult YannakakisExecutor::Execute(const YannakakisOptions& options) {
   JoinResult result;
-  result.columns = out_columns_;
+  result.columns = OutputColumns(options.output);
   result.status = Reduce(options.deadline, options.num_threads, options.sink);
   if (!result.status.ok()) return result;
 
   obs::Span span(options.sink, "yk.join");
-
-  // Per-node hash index on the parent separator.
-  for (size_t v = 0; v < nodes_.size(); ++v) {
-    if (tree_.parent[v] < 0) continue;
-    Node& node = nodes_[v];
-    node.index.clear();
-    node.index.reserve(node.live.size());
-    for (uint32_t r : node.live) {
-      node.index[RowKey(*node.projection, node.sep_positions, r)].push_back(r);
-    }
+  std::vector<size_t> slot_of(static_cast<size_t>(AttrSet::kMaxAttrs),
+                              result.columns.size());
+  for (size_t i = 0; i < result.columns.size(); ++i) {
+    slot_of[static_cast<size_t>(result.columns[i])] = i;
   }
 
-  std::vector<uint32_t> out(out_columns_.size(), 0);
-  uint64_t poll_counter = 0;
-  if (!Extend(0, &out, &result, options, &poll_counter)) {
+  // One step per node in preorder. A child's live rows are grouped by id
+  // with a counting sort: offsets[k] first counts the rows of id k, then
+  // holds where id k ends, and placing the rows back to front leaves it at
+  // where id k starts, with every group in live order. Each output column
+  // is written by the first node in preorder that carries it.
+  Walk walk;
+  walk.steps.resize(nodes_.size());
+  std::vector<size_t> step_of(nodes_.size(), 0);
+  AttrSet written;
+  for (size_t d = 0; d < tree_.preorder.size(); ++d) {
+    const size_t v = static_cast<size_t>(tree_.preorder[d]);
+    const Node& node = nodes_[v];
+    Step& step = walk.steps[d];
+    step_of[v] = d;
+    if (tree_.parent[v] < 0) {
+      step.offsets = {0, static_cast<uint32_t>(node.live.size())};
+      step.rows = node.live;
+    } else {
+      const std::vector<uint32_t>& ids = node.up->child;
+      step.parent_ids = &node.up->parent;
+      step.parent_step = step_of[static_cast<size_t>(tree_.parent[v])];
+      step.offsets.assign(static_cast<size_t>(node.up->num_ids) + 1, 0);
+      for (uint32_t r : node.live) ++step.offsets[ids[r]];
+      std::partial_sum(step.offsets.begin(), step.offsets.end(),
+                       step.offsets.begin());
+      step.rows.resize(node.live.size());
+      for (size_t i = node.live.size(); i-- > 0;) {
+        const uint32_t r = node.live[i];
+        step.rows[--step.offsets[ids[r]]] = r;
+      }
+    }
+    const std::vector<int>& columns = node.projection->columns;
+    for (size_t c = 0; c < columns.size(); ++c) {
+      const size_t slot = slot_of[static_cast<size_t>(columns[c])];
+      if (slot == result.columns.size() || written.Contains(columns[c])) {
+        continue;
+      }
+      written.Add(columns[c]);
+      step.writes.emplace_back(&node.projection->codes[c], slot);
+    }
+  }
+  walk.chosen.assign(nodes_.size(), 0);
+  walk.out.assign(result.columns.size(), 0);
+  walk.options = &options;
+  walk.result = &result;
+  if (!walk.steps.empty() && !Extend(&walk, 0)) {
     result.status = Status::DeadlineExceeded("join enumeration");
   }
   span.Arg("rows", result.rows);
@@ -243,50 +337,64 @@ JoinResult YannakakisExecutor::Execute(const YannakakisOptions& options) {
   return result;
 }
 
-bool YannakakisExecutor::Extend(size_t depth, std::vector<uint32_t>* out,
-                                JoinResult* result,
-                                const YannakakisOptions& options,
-                                uint64_t* poll_counter) {
-  if (depth == tree_.preorder.size()) {
-    ++result->rows;
-    if (options.on_row) options.on_row(*out);
-    if (options.materialize) result->tuples.push_back(*out);
-    // Poll every 1024 rows: cheap enough to vanish in the join cost, tight
-    // enough that a blown budget stops within microseconds.
-    if ((++*poll_counter & 1023) == 0 && DeadlineExpired(options.deadline)) {
-      return false;
-    }
-    return true;
-  }
+JoinResult YannakakisExecutor::Count(const YannakakisOptions& options) {
+  JoinResult result;
+  result.columns = OutputColumns(options.output);
+  result.status = Reduce(options.deadline, options.num_threads, options.sink);
+  if (!result.status.ok()) return result;
 
-  const size_t v = static_cast<size_t>(tree_.preorder[depth]);
-  const Node& node = nodes_[v];
-  const std::vector<std::vector<uint32_t>>& codes = node.projection->codes;
-  const std::vector<size_t>& slots = out_positions_[v];
-
-  const auto emit_row = [&](uint32_t r) {
-    for (size_t i = 0; i < slots.size(); ++i) (*out)[slots[i]] = codes[i][r];
-    return Extend(depth + 1, out, result, options, poll_counter);
-  };
-
-  if (tree_.parent[v] < 0) {
-    for (uint32_t r : node.live) {
-      if (!emit_row(r)) return false;
-      if ((++*poll_counter & 1023) == 0 && DeadlineExpired(options.deadline)) {
-        return false;
+  obs::Span span(options.sink, "yk.count");
+  // Leaf to root, each live row's weight is the number of join rows of its
+  // subtree that extend it: the product, over its children, of the
+  // child's message at the row's separator id, where a child's message is
+  // its weights summed per id. The root's weights sum to the join's rows.
+  // After the full reduction every row extends to a join row, so every
+  // partial product is at most the total: an overflow anywhere means the
+  // count does not fit in 64 bits.
+  const auto sum_product = [&](uint64_t* total) {
+    const Status overflow =
+        Status::ResourceExhausted("join row count exceeds 2^64 - 1");
+    std::vector<std::vector<uint64_t>> messages(nodes_.size());
+    std::vector<uint64_t> root_sum(1, 0);
+    uint64_t polls = 0;
+    for (size_t d = tree_.preorder.size(); d-- > 0;) {
+      const size_t v = static_cast<size_t>(tree_.preorder[d]);
+      const std::vector<uint32_t>& live = nodes_[v].live;
+      std::vector<uint64_t> weight(live.size(), 1);
+      for (int c : tree_.children[v]) {
+        const std::vector<uint32_t>& ids =
+            nodes_[static_cast<size_t>(c)].up->parent;
+        const std::vector<uint64_t>& message = messages[static_cast<size_t>(c)];
+        for (size_t i = 0; i < live.size(); ++i) {
+          if ((++polls & 1023) == 0 && DeadlineExpired(options.deadline)) {
+            return Status::DeadlineExceeded("join count");
+          }
+          if (__builtin_mul_overflow(weight[i], message[ids[live[i]]],
+                                     &weight[i])) {
+            return overflow;
+          }
+        }
+        std::vector<uint64_t>().swap(messages[static_cast<size_t>(c)]);
+      }
+      const EdgeIds* up = tree_.parent[v] < 0 ? nullptr : nodes_[v].up;
+      std::vector<uint64_t>& sums = up == nullptr ? root_sum : messages[v];
+      if (up != nullptr) sums.assign(up->num_ids, 0);
+      for (size_t i = 0; i < live.size(); ++i) {
+        if ((++polls & 1023) == 0 && DeadlineExpired(options.deadline)) {
+          return Status::DeadlineExceeded("join count");
+        }
+        uint64_t& sum = sums[up == nullptr ? 0 : up->child[live[i]]];
+        if (__builtin_add_overflow(sum, weight[i], &sum)) return overflow;
       }
     }
-    return true;
-  }
-
-  // The parent is already placed (preorder), so the separator values are
-  // bound in `out`; look the child rows up by that key.
-  const auto it = node.index.find(PackTupleKey(*out, node.sep_slots));
-  if (it == node.index.end()) return true;  // no extension below v
-  for (uint32_t r : it->second) {
-    if (!emit_row(r)) return false;
-  }
-  return true;
+    *total = root_sum[0];
+    return Status::Ok();
+  };
+  uint64_t total = 0;
+  result.status = sum_product(&total);
+  if (result.status.ok()) result.rows = total;
+  span.Arg("rows", result.rows);
+  return result;
 }
 
 std::vector<StoredProjection> YannakakisExecutor::ReducedProjections() const {

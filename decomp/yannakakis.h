@@ -9,25 +9,34 @@
 //               by a root-to-leaf pass. Afterwards every remaining tuple
 //               participates in at least one join result, so the join
 //               phase never generates dangling intermediates.
-//   Execute() — joins in join-tree order via per-edge hash indexes
-//               (separator key -> child row ids), streaming one result row
-//               at a time: in count-only mode rows are counted and
-//               discarded (O(tree depth) live state, wide joins are never
-//               retained), with `materialize` they are collected.
+//   Execute() — joins in join-tree order, streaming one result row at a
+//               time: in count-only mode rows are counted and discarded
+//               (O(tree depth) live state, wide joins are never retained),
+//               with `materialize` they are collected.
+//   Count()   — the join's row count without enumerating it: after the
+//               same full reduction, one leaf-to-root sum-product pass
+//               (Yannakakis over the counting semiring) in O(live rows).
+//
+// Every join step is keyed on dense separator ids, never on packed
+// strings. Each join-tree edge carries EdgeIds: the id of every row of the
+// child and of the parent projection, equal iff the rows agree on the
+// separator. A semijoin marks the source's ids in a byte array and keeps
+// the target rows whose id is marked; Execute groups each child's live
+// rows by id in CSR offsets and reaches them from the current parent row's
+// id; Count sums each child's row weights per id.
 //
 // The executor reads the column-major StoredProjections in place: each
 // node holds only the ids of its live rows. Reduce filters those lists (in
 // order, so the reduced store is byte-identical at any thread count),
-// Execute indexes and enumerates them, and ReducedProjections gathers the
-// survivors into fresh projections. Nothing else is copied.
+// Execute indexes and enumerates them, writing only the output columns,
+// and ReducedProjections gathers the survivors into fresh projections.
+// Nothing else is copied.
 
 #ifndef MAIMON_DECOMP_YANNAKAKIS_H_
 #define MAIMON_DECOMP_YANNAKAKIS_H_
 
 #include <cstdint>
 #include <functional>
-#include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "decomp/projection_store.h"
@@ -43,32 +52,39 @@ struct YannakakisOptions {
   /// audit only needs the streamed count, so wide reconstructions stay
   /// O(1) in result size.
   bool materialize = false;
-  /// Polled inside the reducer's per-tuple loops (every 1024 tuples) and
-  /// every 1024 enumerated join rows; expiry returns the partial count with
-  /// kDeadlineExceeded. Nullable.
+  /// Polled inside the reducer's per-tuple loops (every 1024 tuples), every
+  /// 1024 rows the enumeration visits and every 1024 rows of Count's pass;
+  /// expiry returns kDeadlineExceeded (Execute: with the partial count).
+  /// Nullable.
   const Deadline* deadline = nullptr;
   /// Worker threads for the semijoin reducer: 1 = sequential, 0 = all
   /// hardware threads, N = exactly N. Reduction output is byte-identical
   /// for every value (see Reduce). The join enumeration itself stays
   /// single-threaded — it streams one row at a time by design.
   int num_threads = 1;
-  /// Observability sink (nullable): `yk.reduce` / `yk.join` spans plus the
-  /// `yk.semijoin_dropped`, `yk.semijoin_passes` and `yk.join_rows`
-  /// counters.
+  /// Observability sink (nullable): `yk.reduce` / `yk.join` / `yk.count`
+  /// spans plus the `yk.semijoin_dropped`, `yk.semijoin_passes` and
+  /// `yk.join_rows` counters.
   obs::Sink* sink = nullptr;
+  /// The columns each joined row carries (JoinResult::columns): these
+  /// attributes of the join, ascending. Empty means every attribute. serve/
+  /// passes the query's projection, so no row carries a column the caller
+  /// would drop.
+  AttrSet output;
   /// Streamed per joined row, in `JoinResult::columns` order, before the
-  /// materialize check — serve/'s projection hook: callers project and
-  /// deduplicate one row at a time instead of retaining the wide join.
-  /// The referenced vector is the enumerator's scratch row; copy what you
-  /// keep. Nullable.
+  /// materialize check — serve/'s dedup hook: callers deduplicate one row
+  /// at a time instead of retaining the join. The referenced vector is the
+  /// enumerator's scratch row; copy what you keep. Nullable.
   std::function<void(const std::vector<uint32_t>&)> on_row;
 };
 
 struct JoinResult {
-  /// Output columns: the schema universe's original indices, ascending.
+  /// Output columns: YannakakisOptions::output's original indices (the
+  /// whole universe by default), ascending.
   std::vector<int> columns;
   /// Exact number of rows of the natural join of the projections (partial
-  /// when status is kDeadlineExceeded).
+  /// when Execute's status is kDeadlineExceeded; 0 when Count's status is
+  /// not OK).
   uint64_t rows = 0;
   /// Joined rows in `columns` order; filled only when materialize is set.
   std::vector<std::vector<uint32_t>> tuples;
@@ -82,17 +98,36 @@ struct ProjectionRows {
   std::vector<uint32_t> rows;
 };
 
+/// Dense ids of one join-tree edge's separator (the attributes the child
+/// and parent projections share): child[r] is the id of the child's row r,
+/// parent[r] that of the parent's row r, both in [0, num_ids). Two rows,
+/// on either side, share an id iff they agree on the separator. An empty
+/// separator gives every row id 0.
+struct EdgeIds {
+  std::vector<uint32_t> child;
+  std::vector<uint32_t> parent;
+  uint32_t num_ids = 0;
+};
+
+/// Labels every row of `child` and of `parent` by its separator tuple, in
+/// first-occurrence order (child rows first), through one TupleIdTable.
+EdgeIds LabelEdge(const StoredProjection& child,
+                  const StoredProjection& parent);
+
 class YannakakisExecutor {
  public:
   /// Joins every row of every projection of `store`, read in place:
   /// `store` must outlive the executor.
   explicit YannakakisExecutor(const ProjectionStore& store);
 
-  /// Joins the given projections (an acyclic schema, e.g. a connected
-  /// subtree of a store's join tree), each restricted to its listed rows —
-  /// serve/'s pushdown-filtered plans. The projections must outlive the
-  /// executor.
-  explicit YannakakisExecutor(std::vector<ProjectionRows> inputs);
+  /// Joins the given projections along `tree` (over input indices; e.g.
+  /// an InducedSubtree of a store's join tree), each restricted to its
+  /// listed rows — serve/'s pushdown-filtered plans. `edges[v]` holds the
+  /// separator ids of the edge from input v to its parent in `tree`
+  /// (ignored at the root), labeled over every row of both projections.
+  /// The projections and the ids must outlive the executor.
+  YannakakisExecutor(std::vector<ProjectionRows> inputs, JoinTree tree,
+                     const std::vector<const EdgeIds*>& edges);
 
   /// Full semijoin reduction (idempotent; Execute runs it on demand).
   /// Deadline expiry leaves the store partially reduced and returns
@@ -112,6 +147,15 @@ class YannakakisExecutor {
 
   /// Streams the join; see YannakakisOptions.
   JoinResult Execute(const YannakakisOptions& options);
+
+  /// The join's row count, without enumerating a row: the same full
+  /// reduction as Execute (so semijoin_passes() reads the same), then one
+  /// leaf-to-root sum-product pass over the live rows. Reads the deadline,
+  /// thread count, sink and output of `options` (the output only names
+  /// JoinResult::columns; materialize and on_row do not apply). A count
+  /// that does not fit in 64 bits returns kResourceExhausted, never a
+  /// wrapped value; deadline expiry returns kDeadlineExceeded.
+  JoinResult Count(const YannakakisOptions& options);
 
   /// Tuples dropped across both reducer passes (dangling tuples: stored
   /// projection rows that join with no row of some neighbor).
@@ -133,28 +177,23 @@ class YannakakisExecutor {
   const JoinTree& tree() const { return tree_; }
 
  private:
-  // One node's execution state: the projection it reads and its live rows.
+  // One node's execution state: the projection it reads, its live rows and
+  // the separator ids of the edge to its parent (null at the root).
   struct Node {
     const StoredProjection* projection = nullptr;
-    std::vector<uint32_t> live;           // live row ids
-    std::vector<int> sep_positions;       // parent separator, own columns
-    std::vector<int> parent_positions;    // same separator, parent columns
-    std::vector<int> sep_slots;           // same separator, output slots
-    // Separator key -> live row ids, built by Execute for non-root nodes.
-    std::unordered_map<std::string, std::vector<uint32_t>> index;
+    std::vector<uint32_t> live;
+    const EdgeIds* up = nullptr;
   };
 
   Status ReduceImpl(const Deadline* deadline, int num_threads,
                     obs::Sink* sink);
-  // Depth-first extension over preorder position `depth`; returns false on
-  // deadline expiry.
-  bool Extend(size_t depth, std::vector<uint32_t>* out, JoinResult* result,
-              const YannakakisOptions& options, uint64_t* poll_counter);
+  // The columns of a join that keeps `output` (all when empty).
+  std::vector<int> OutputColumns(AttrSet output) const;
 
   JoinTree tree_;
   std::vector<Node> nodes_;
-  std::vector<int> out_columns_;               // universe, ascending
-  std::vector<std::vector<size_t>> out_positions_;  // node col -> out slot
+  AttrSet universe_;
+  std::vector<EdgeIds> owned_edges_;  // the store constructor's labels
   uint64_t semijoin_dropped_ = 0;
   uint64_t semijoin_passes_ = 0;
   bool reduced_ = false;

@@ -155,4 +155,32 @@ std::vector<int> MinimalCoveringSubtree(const JoinTree& tree,
   return out;
 }
 
+JoinTree InducedSubtree(const JoinTree& tree, const std::vector<int>& nodes) {
+  std::vector<int> local(tree.NumNodes(), -1);
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    local[static_cast<size_t>(nodes[i])] = static_cast<int>(i);
+  }
+  JoinTree sub;
+  sub.parent.assign(nodes.size(), -1);
+  sub.children.resize(nodes.size());
+  for (size_t i = 0; i < nodes.size(); ++i) {
+    const size_t v = static_cast<size_t>(nodes[i]);
+    if (tree.parent[v] >= 0) {
+      sub.parent[i] = local[static_cast<size_t>(tree.parent[v])];
+    }
+    for (int c : tree.children[v]) {
+      if (local[static_cast<size_t>(c)] >= 0) {
+        sub.children[i].push_back(local[static_cast<size_t>(c)]);
+      }
+    }
+  }
+  sub.preorder.reserve(nodes.size());
+  for (int v : tree.preorder) {
+    if (local[static_cast<size_t>(v)] >= 0) {
+      sub.preorder.push_back(local[static_cast<size_t>(v)]);
+    }
+  }
+  return sub;
+}
+
 }  // namespace maimon

@@ -13,9 +13,7 @@
 #ifndef MAIMON_JOIN_JOIN_TREE_H_
 #define MAIMON_JOIN_JOIN_TREE_H_
 
-#include <cstdint>
-#include <cstring>
-#include <string>
+#include <cstddef>
 #include <vector>
 
 #include "util/attr_set.h"
@@ -23,7 +21,8 @@
 namespace maimon {
 
 struct JoinTree {
-  /// parent[v] is v's parent index; -1 at the root (relation 0).
+  /// parent[v] is v's parent index; -1 at the root (relation 0 in a tree
+  /// built over relations; any node of an InducedSubtree).
   std::vector<int> parent;
   std::vector<std::vector<int>> children;
   /// Root-first DFS order: every node appears after its parent.
@@ -59,25 +58,14 @@ std::vector<int> MinimalCoveringSubtree(const JoinTree& tree,
                                         const std::vector<AttrSet>& rels,
                                         AttrSet touched);
 
-/// Byte-packed key of the `positions`-projection of `tuple` — the hash key
-/// the Yannakakis executor uses for separator matching.
-inline std::string PackTupleKey(const std::vector<uint32_t>& tuple,
-                                const std::vector<int>& positions) {
-  std::string key(positions.size() * sizeof(uint32_t), '\0');
-  for (size_t i = 0; i < positions.size(); ++i) {
-    std::memcpy(&key[i * sizeof(uint32_t)],
-                &tuple[static_cast<size_t>(positions[i])], sizeof(uint32_t));
-  }
-  return key;
-}
-
-/// Full-width key: every position of `tuple` in order, one memcpy. Packs
-/// the same bytes as PackTupleKey with the identity position list, without
-/// materializing that list — the executor's per-row hot path.
-inline std::string PackFullTupleKey(const std::vector<uint32_t>& tuple) {
-  return std::string(reinterpret_cast<const char*>(tuple.data()),
-                     tuple.size() * sizeof(uint32_t));
-}
+/// The subtree of `tree` induced by `nodes` (ascending indices that form a
+/// connected subtree, e.g. MinimalCoveringSubtree's output), over local
+/// indices: local node i is nodes[i]. Its edges are `tree`'s own, and its
+/// preorder is `tree`'s restricted to `nodes`, so it starts at the
+/// subtree's root (the node whose parent is not in `nodes`), which need not
+/// be local node 0. Callers that keep per-edge data of `tree` can reuse it
+/// for every edge of the subtree.
+JoinTree InducedSubtree(const JoinTree& tree, const std::vector<int>& nodes);
 
 }  // namespace maimon
 

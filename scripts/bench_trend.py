@@ -34,15 +34,17 @@ snapshot-schema drift is caught by the CI key-set check).
 Work counts are gated exactly. On every matched pair where neither side
 timed out, the count columns must be equal: minseps, oracle_calls, seeds,
 expansions and entropy_queries on fig13/fig14 rows; schemes, mis,
-conflict_vertices, conflict_edges and join_rows_dp on fig15 rows. Any
-difference fails the gate, whatever the seconds say and below the noise
-floor too. A completed row's counts are a pure function of the code and
-the row's inputs, so a difference is a change in what the miner does,
-which is either a bug or a reason to re-record the snapshot. A row that
-timed out on either side stops at a timing-dependent point, so its counts
-are not compared. A fig13/fig14 row has timed out when its `timed_out` is
-true; a fig15 row when its `marker` holds " TL" (mining or assembly ran
-out of budget) or its `audit_tl` is true (the audit did).
+conflict_vertices, conflict_edges and join_rows_dp on fig15 rows;
+result_rows and errors on bench_serve_qps rows (the rows with a `qps`
+column). Any difference fails the gate, whatever the seconds say and below
+the noise floor too. A completed row's counts are a pure function of the
+code and the row's inputs, so a difference is a change in what the miner
+mines or what the query service answers, which is either a bug or a reason
+to re-record the snapshot. A row that timed out on either side stops at a
+timing-dependent point, so its counts are not compared. A fig13/fig14 or
+serve row has timed out when its `timed_out` is true; a fig15 row when its
+`marker` holds " TL" (mining or assembly ran out of budget) or its
+`audit_tl` is true (the audit did).
 
 Timing comparisons assume both sides ran on the same class of machine —
 true for the committed-snapshot flow (snapshots are refreshed from the
@@ -57,15 +59,21 @@ import sys
 # Columns that identify a row across runs. Everything else is a metric.
 ID_KEYS = ("fig", "dataset", "rows", "cols", "eps", "threads", "walk")
 # Deterministic work counts, compared exactly on completed rows: the
-# separator rows' (fig13/fig14) and fig15's scheme-quality rows'.
+# separator rows' (fig13/fig14), fig15's scheme-quality rows' and the
+# serve rows' answers.
 COUNT_KEYS = ("minseps", "oracle_calls", "seeds", "expansions",
               "entropy_queries")
 FIG15_COUNT_KEYS = ("schemes", "mis", "conflict_vertices", "conflict_edges",
                     "join_rows_dp")
+SERVE_COUNT_KEYS = ("result_rows", "errors")
 
 
 def count_keys(row):
-    return FIG15_COUNT_KEYS if row.get("fig") == 15 else COUNT_KEYS
+    if row.get("fig") == 15:
+        return FIG15_COUNT_KEYS
+    if "qps" in row:
+        return SERVE_COUNT_KEYS
+    return COUNT_KEYS
 
 
 def timed_out(row):

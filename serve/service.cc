@@ -3,10 +3,9 @@
 #include "serve/service.h"
 
 #include <algorithm>
-#include <string>
-#include <unordered_set>
 #include <utility>
 
+#include "decomp/tuple_ids.h"
 #include "decomp/yannakakis.h"
 #include "join/join_tree.h"
 #include "store/mapped_store.h"
@@ -53,7 +52,19 @@ Snapshot::Snapshot(ProjectionStore store, const ServiceOptions& options)
     for (size_t i = 0; i < cols; ++i) {
       point_index_[v].push_back(std::make_unique<LazyIndex>());
     }
+    edge_ids_.push_back(std::make_unique<LazyEdge>());
   }
+}
+
+const EdgeIds& Snapshot::EdgeIdsOf(int node) const {
+  LazyEdge& edge = *edge_ids_[static_cast<size_t>(node)];
+  std::call_once(edge.once, [&] {
+    const std::vector<StoredProjection>& projections = store_.projections();
+    const int parent = planner_.tree().parent[static_cast<size_t>(node)];
+    edge.ids = LabelEdge(projections[static_cast<size_t>(node)],
+                         projections[static_cast<size_t>(parent)]);
+  });
+  return edge.ids;
 }
 
 QueryService::QueryService(ProjectionStore store, ServiceOptions options)
@@ -130,9 +141,12 @@ QueryResult QueryService::ExecuteOnSnapshot(const Snapshot& snap,
     RunSubtree(snap, plan, query, dl, &result);
   }
 
-  span.Arg("attrs", query.attrs.ToString());
-  span.Arg("nodes", static_cast<int>(plan.nodes.size()));
-  span.Arg("rows", result.rows);
+  if (span.active()) {
+    span.Arg("attrs", query.attrs.ToString());
+    span.Arg("nodes", static_cast<int>(plan.nodes.size()));
+    span.Arg("rows_in", result.rows_in);
+    span.Arg("rows", result.rows);
+  }
   obs::Count(sink, "serve.rows", result.rows);
   if (result.status.IsDeadlineExceeded()) {
     obs::Count(sink, "serve.deadline_exceeded", 1);
@@ -164,14 +178,13 @@ void QueryService::PointLookup(const Snapshot& snap, const QueryPlan& plan,
 
   const auto it = index.rows_by_value.find(sel.lo);
   if (it == index.rows_by_value.end()) return;  // zero matches, status Ok
+  result->rows_in = it->second.size();
   const std::vector<size_t> slots = SlotsOf(proj.columns, plan.output);
-  std::unordered_set<std::string> seen;
+  TupleIdTable seen(slots.size());
   std::vector<uint32_t> out(slots.size());
   for (uint32_t r : it->second) {
     for (size_t i = 0; i < slots.size(); ++i) out[i] = proj.codes[slots[i]][r];
-    if (plan.needs_dedup && !seen.insert(PackFullTupleKey(out)).second) {
-      continue;
-    }
+    if (plan.needs_dedup && !seen.Insert(out.data()).second) continue;
     ++result->rows;
     if (!query.count_only) result->tuples.push_back(out);
   }
@@ -191,6 +204,8 @@ void QueryService::RunSubtree(const Snapshot& snap, const QueryPlan& plan,
   // restores consistency within the subtree.
   std::vector<ProjectionRows> inputs;
   inputs.reserve(plan.nodes.size());
+  std::vector<int> cover;
+  cover.reserve(plan.nodes.size());
   uint64_t polls = 0;
   for (const PlanNode& pnode : plan.nodes) {
     const StoredProjection& proj =
@@ -219,41 +234,52 @@ void QueryService::RunSubtree(const Snapshot& snap, const QueryPlan& plan,
       }
       if (keep) in.rows.push_back(r);
     }
+    result->rows_in += in.rows.size();
     inputs.push_back(std::move(in));
+    cover.push_back(pnode.store_index);
   }
 
-  YannakakisExecutor executor(std::move(inputs));
+  // The cover is a connected subtree of the planner's join tree, so the
+  // subtree it induces is a join tree of the plan, and each of its edges
+  // is a planner edge whose separator ids the snapshot caches.
+  JoinTree tree = InducedSubtree(snap.planner().tree(), cover);
+  std::vector<const EdgeIds*> edges(cover.size(), nullptr);
+  for (size_t i = 0; i < cover.size(); ++i) {
+    if (tree.parent[i] >= 0) edges[i] = &snap.EdgeIdsOf(cover[i]);
+  }
+  YannakakisExecutor executor(std::move(inputs), std::move(tree), edges);
   YannakakisOptions yopts;
   yopts.deadline = deadline;
   yopts.num_threads = 1;
   yopts.sink = options_.sink;
+  yopts.output = plan.output;
 
+  JoinResult joined;
   if (!plan.needs_dedup) {
     // Output equals the covered attributes: the subtree join of
-    // distinct-row projections is already distinct, and the executor's
-    // ascending column order is exactly result->columns.
-    yopts.materialize = !query.count_only;
-    JoinResult joined = executor.Execute(yopts);
-    result->status = joined.status;
+    // distinct-row projections is already distinct, so its count is the
+    // answer's and needs no row enumerated.
+    if (query.count_only) {
+      joined = executor.Count(yopts);
+    } else {
+      yopts.materialize = true;
+      joined = executor.Execute(yopts);
+    }
     result->rows = joined.rows;
     result->tuples = std::move(joined.tuples);
   } else {
-    // Project each streamed row onto the output slots and deduplicate —
-    // the wide subtree join is never retained.
-    const std::vector<int> covered_cols = plan.covered.ToVector();
-    const std::vector<size_t> slots = SlotsOf(covered_cols, plan.output);
-    std::unordered_set<std::string> seen;
-    std::vector<uint32_t> out(slots.size());
-    yopts.materialize = false;
+    // The executor streams rows of the output columns only; keep each
+    // distinct one — the join itself is never retained.
+    TupleIdTable seen(result->columns.size());
     yopts.on_row = [&](const std::vector<uint32_t>& row) {
-      for (size_t i = 0; i < slots.size(); ++i) out[i] = row[slots[i]];
-      if (!seen.insert(PackFullTupleKey(out)).second) return;
-      if (!query.count_only) result->tuples.push_back(out);
+      if (seen.Insert(row.data()).second && !query.count_only) {
+        result->tuples.push_back(row);
+      }
     };
-    JoinResult joined = executor.Execute(yopts);
-    result->status = joined.status;
+    joined = executor.Execute(yopts);
     result->rows = seen.size();
   }
+  result->status = joined.status;
   result->semijoin_passes = executor.semijoin_passes();
 }
 

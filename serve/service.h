@@ -14,13 +14,24 @@
 // readers load atomically (C++17 atomic shared_ptr free functions) —
 // queries never take the service's lock, and Swap() publishes a freshly
 // reduced snapshot while in-flight queries keep the old one alive. Lazy
-// per-projection point-lookup indexes are built inside the snapshot under
-// std::call_once, so the fast path is also build-once/read-many.
+// per-projection point-lookup indexes and per-edge separator ids are built
+// inside the snapshot under std::call_once, on the first query that needs
+// them, so both are build-once/read-many and a snapshot's set-up pays for
+// neither.
 //
-// Per query: an obs "serve.query" span plus serve.* counters (queries,
-// rows, plan_nodes, pruned_nodes, point_lookups, deadline_exceeded,
-// rejected), and a wall deadline (query budget or service default)
-// enforced down through the executor's per-tuple polling.
+// A query joins its plan's covering projections along the subtree of the
+// planner's join tree they induce, keyed on the snapshot's cached
+// separator ids, and the executor writes only the query's columns. A
+// count-only query whose output needs no dedup is answered by the
+// executor's sum-product Count, without enumerating a row; every distinct
+// check runs through a TupleIdTable.
+//
+// Per query: an obs "serve.query" span (attrs, nodes, rows_in, rows; its
+// args are built only when the span is recorded) plus serve.* counters
+// (queries, rows, plan_nodes, pruned_nodes, point_lookups,
+// deadline_exceeded, rejected), and a wall deadline (query budget or
+// service default) enforced down through the executor's per-tuple
+// polling.
 
 #ifndef MAIMON_SERVE_SERVICE_H_
 #define MAIMON_SERVE_SERVICE_H_
@@ -34,6 +45,7 @@
 #include <vector>
 
 #include "decomp/projection_store.h"
+#include "decomp/yannakakis.h"
 #include "obs/trace.h"
 #include "serve/planner.h"
 #include "util/status.h"
@@ -65,12 +77,16 @@ struct QueryResult {
   size_t plan_nodes = 0;
   /// Semijoin passes the pruned execution actually ran — the observable
   /// proof of pruning (full plan = 2 * (store nodes - 1); see serve_test).
+  /// A count-only answer runs the same reduction, so it reads the same.
   uint64_t semijoin_passes = 0;
+  /// Rows that entered the join: the live rows after pushdown, summed over
+  /// the plan's nodes (a point lookup: the rows its index returned).
+  uint64_t rows_in = 0;
 };
 
 /// One immutable serving snapshot: the canonically reduced store, its
-/// planner, and lazily built point-lookup indexes. Read-only after
-/// construction (the lazy indexes are call_once-guarded caches).
+/// planner, and lazily built point-lookup indexes and separator ids.
+/// Read-only after construction (both are call_once-guarded caches).
 class Snapshot {
  public:
   Snapshot(ProjectionStore store, const ServiceOptions& options);
@@ -88,11 +104,22 @@ class Snapshot {
     std::unordered_map<uint32_t, std::vector<uint32_t>> rows_by_value;
   };
 
+  // The separator ids of the planner tree's edge from a node to its
+  // parent, labeled over both whole projections on the first query that
+  // joins across that edge.
+  struct LazyEdge {
+    std::once_flag once;
+    EdgeIds ids;
+  };
+  const EdgeIds& EdgeIdsOf(int node) const;
+
   ProjectionStore store_;
   Planner planner_;
-  /// Cache, not state: building an index does not change what any query
-  /// observes, so the lazy build is allowed behind a const snapshot.
+  /// Caches, not state: building an index or labeling an edge does not
+  /// change what any query observes, so the lazy builds are allowed behind
+  /// a const snapshot.
   mutable std::vector<std::vector<std::unique_ptr<LazyIndex>>> point_index_;
+  mutable std::vector<std::unique_ptr<LazyEdge>> edge_ids_;  // by child node
 };
 
 class QueryService {

@@ -13,16 +13,23 @@
 //   * join ⊇ r holds at any eps (hard invariant);
 //   * the projection store's accounting reproduces the analytic savings S;
 //   * deadline expiry mid-join returns a partial audit with
-//     kDeadlineExceeded; cyclic schemas are rejected up front.
+//     kDeadlineExceeded; cyclic schemas are rejected up front;
+//   * the executor's sum-product Count equals its enumerated row count on
+//     every store here, empty separators and dangling rows included, and
+//     an output-only enumeration is the full one projected, row by row;
+//   * TupleIdTable numbers tuples densely in first-occurrence order.
 
 #include <algorithm>
+#include <map>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "core/maimon.h"
 #include "data/nursery.h"
 #include "data/planted.h"
 #include "decomp/projection_store.h"
+#include "decomp/tuple_ids.h"
 #include "decomp/yannakakis.h"
 #include "join/join_tree.h"
 #include "scheme/assembler.h"
@@ -341,6 +348,165 @@ TEST_CASE(SingleRelationSchemaJoinsToItself) {
   CHECK_EQ(audit.spurious, uint64_t{0});
   CHECK(audit.matches_analytic);
   CHECK_EQ(audit.join_rows, audit.original_distinct);
+}
+
+TEST_CASE(TupleIdTableNumbersTuplesInFirstOccurrenceOrder) {
+  // Width 3 over a small domain, far more inserts than distinct tuples,
+  // through many growths; the last column's codes reach 0xFFFFFFFF, so no
+  // code value is special.
+  TupleIdTable table(3);
+  std::map<std::vector<uint32_t>, uint32_t> reference;
+  uint64_t state = 12345;
+  for (int i = 0; i < 20000; ++i) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    const uint32_t bits = static_cast<uint32_t>(state >> 33);
+    const std::vector<uint32_t> tuple = {bits % 17, (bits >> 5) % 13,
+                                         0xFFFFFFFFu - (bits >> 9) % 11};
+    const auto [id, inserted] = table.Insert(tuple.data());
+    const auto it = reference.find(tuple);
+    if (it == reference.end()) {
+      // A new tuple takes the next id: first-occurrence order.
+      CHECK(inserted);
+      CHECK_EQ(id, static_cast<uint32_t>(reference.size()));
+      reference.emplace(tuple, id);
+    } else {
+      // A repeated tuple gets its old id back, and only it has that id.
+      CHECK(!inserted);
+      CHECK_EQ(id, it->second);
+    }
+    CHECK_EQ(table.size(), reference.size());
+  }
+  CHECK(reference.size() > 1000);  // grew well past its first slots
+  for (const auto& [tuple, id] : reference) {
+    CHECK(std::equal(tuple.begin(), tuple.end(), table.Tuple(id)));
+  }
+
+  // Width 0: the one empty tuple is id 0, new only the first time.
+  TupleIdTable empty(0);
+  CHECK_EQ(empty.size(), size_t{0});
+  for (int i = 0; i < 3; ++i) {
+    const auto [id, inserted] = empty.Insert(nullptr);
+    CHECK_EQ(id, uint32_t{0});
+    CHECK_EQ(inserted, i == 0);
+    CHECK_EQ(empty.size(), size_t{1});
+  }
+}
+
+// Count() on a fresh executor must read the rows Execute() enumerates on
+// another, after the same reduction; an Execute() that keeps only the
+// first projection's columns must enumerate the full join's rows,
+// projected, in the same order.
+void CheckCountMatchesEnumeration(const ProjectionStore& store) {
+  YannakakisOptions full;
+  full.materialize = true;
+  YannakakisExecutor enumerated(store);
+  const JoinResult join = enumerated.Execute(full);
+  YannakakisExecutor counted(store);
+  const JoinResult count = counted.Count(YannakakisOptions());
+  CHECK(join.status.ok());
+  CHECK(count.status.ok());
+  CHECK_EQ(count.rows, join.rows);
+  CHECK_EQ(counted.semijoin_passes(), enumerated.semijoin_passes());
+  CHECK_EQ(counted.semijoin_dropped(), enumerated.semijoin_dropped());
+
+  YannakakisOptions narrow = full;
+  narrow.output = store.projections()[0].attrs;
+  YannakakisExecutor projected(store);
+  const JoinResult part = projected.Execute(narrow);
+  CHECK(part.status.ok());
+  CHECK_EQ(part.columns, narrow.output.ToVector());
+  CHECK_EQ(part.rows, join.rows);
+  CHECK_EQ(part.tuples.size(), join.tuples.size());
+  std::vector<size_t> slots;
+  for (size_t i = 0; i < join.columns.size(); ++i) {
+    if (narrow.output.Contains(join.columns[i])) slots.push_back(i);
+  }
+  bool same = part.tuples.size() == join.tuples.size();
+  for (size_t r = 0; same && r < join.tuples.size(); ++r) {
+    for (size_t i = 0; i < slots.size(); ++i) {
+      same = same && part.tuples[r][i] == join.tuples[r][slots[i]];
+    }
+  }
+  CHECK(same);
+}
+
+TEST_CASE(CountEqualsTheEnumeratedRowsOnEveryStore) {
+  std::vector<ProjectionStore> stores;
+  // The planted chains, clean and noisy, under their planted schemes.
+  for (const auto& [attrs, seed, noise] :
+       std::vector<std::tuple<int, uint64_t, double>>{
+           {9, 1, 0.0}, {9, 9, 0.0}, {9, 23, 0.0}, {9, 31, 0.1}}) {
+    const PlantedDataset d = MakePlanted(attrs, 3, seed, noise);
+    PliEntropyEngine engine(d.relation);
+    InfoCalc oracle(&engine);
+    stores.emplace_back(d.relation, PlantedScheme(d, oracle));
+  }
+  // Every scheme mined and ranked from the counting-DP fixtures.
+  struct Mined {
+    Relation relation;
+    double eps;
+  };
+  std::vector<Mined> mined;
+  mined.push_back({MakePlanted(8, 3, 5).relation, 0.0});
+  mined.push_back({MakePlanted(10, 3, 7).relation, 0.0});
+  mined.push_back({MakePlanted(8, 3, 11, /*noise=*/0.02).relation, 0.1});
+  mined.push_back({MakePlanted(9, 2, 13, /*noise=*/0.1).relation, 0.2});
+  mined.push_back({NurseryDataset().SampleRows(0.05, 3), 0.3});
+  mined.push_back({MakePlanted(12, 4, 17, /*noise=*/0.02).relation, 0.1});
+  for (const Mined& m : mined) {
+    MaimonConfig config;
+    config.epsilon = m.eps;
+    config.mvd_budget_seconds = 10.0;
+    config.schema_budget_seconds = 10.0;
+    config.schemas.max_schemas = 32;
+    config.mvd.max_full_mvds_per_separator = 3;
+    Maimon maimon(m.relation, config);
+    const AsMinerResult schemas = maimon.MineSchemas();
+    CHECK(!schemas.schemas.empty());
+    for (const MinedSchema& s : schemas.schemas) {
+      stores.emplace_back(m.relation, s.schema);
+    }
+  }
+  // The hand-built star, one relation alone, and the disjoint bags: a
+  // store whose every separator is empty (a cross product).
+  stores.emplace_back(
+      Relation::FromRows({{0, 0, 0, 0}, {0, 1, 0, 1}, {0, 0, 0, 1}}, 4),
+      Schema({AttrSet(0b0011), AttrSet(0b0101), AttrSet(0b1001)}));
+  const PlantedDataset single = MakePlanted(6, 2, 47, /*noise=*/0.05);
+  stores.emplace_back(single.relation, Schema(single.relation.Universe()));
+  const PlantedDataset bags = MakePlanted(8, 2, 41);
+  const Schema disjoint(bags.schema.Bags());
+  CHECK(disjoint.NumRelations() >= 2);
+  CHECK(disjoint.Relations()[0].Intersect(disjoint.Relations()[1]).Empty());
+  stores.emplace_back(bags.relation, disjoint);
+  // The imported store with a dangling row, and the 2^18-row chain.
+  StoredProjection ab;
+  ab.attrs = AttrSet(0b011);
+  ab.columns = {0, 1};
+  ab.codes = {{0, 1}, {0, 7}};
+  ab.domains = {2, 8};
+  StoredProjection bc;
+  bc.attrs = AttrSet(0b110);
+  bc.columns = {1, 2};
+  bc.codes = {{0}, {2}};
+  bc.domains = {8, 3};
+  stores.emplace_back(std::vector<StoredProjection>{ab, bc},
+                      /*original_cells=*/0);
+  const uint32_t n = 1 << 18;
+  std::vector<uint32_t> ids(n);
+  for (uint32_t i = 0; i < n; ++i) ids[i] = i;
+  StoredProjection wide_ab = ab, wide_bc = bc;
+  wide_ab.codes = {ids, ids};
+  wide_ab.domains = {n, n};
+  wide_bc.codes = {ids, ids};
+  wide_bc.domains = {n, n};
+  stores.emplace_back(
+      std::vector<StoredProjection>{std::move(wide_ab), std::move(wide_bc)},
+      /*original_cells=*/0);
+
+  for (const ProjectionStore& store : stores) {
+    CheckCountMatchesEnumeration(store);
+  }
 }
 
 }  // namespace

@@ -17,7 +17,13 @@
 //   * per-query deadlines expire as kDeadlineExceeded; invalid queries are
 //     rejected up front; Swap() publishes a new snapshot atomically while
 //     concurrent readers keep the old one alive (8-thread stress, run
-//     under TSan in the tsan lane).
+//     under TSan in the tsan lane);
+//   * a seeded random sweep (universe and whole-node projections, random
+//     subsets, Eq/Range selections, invalid shapes) answers like the
+//     oracles above, so the executor's sum-product Count and its no-dedup
+//     enumeration are both exercised;
+//   * a count past 2^64 - 1 is kResourceExhausted, never a wrapped number;
+//   * the serve.query span carries rows_in, and Count opens yk.count.
 
 #include <unistd.h>
 
@@ -44,6 +50,7 @@
 #include "serve/service.h"
 #include "store/writer.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
 
 namespace maimon {
 namespace {
@@ -666,6 +673,252 @@ TEST_CASE(ConcurrentQueryStressAcrossSwap) {
   CHECK_EQ(service.generation(), uint64_t{1});
   CHECK_EQ(sink.SnapshotMetrics().counter("serve.queries"),
            static_cast<uint64_t>(kThreads * kQueriesPerThread));
+}
+
+// `count` random queries over `store`'s universe: the universe, a whole
+// node, a random subset or a single attribute, each with no selection, an
+// Eq, a Range, or both. Values run one past each column's domain, so some
+// selections match nothing.
+std::vector<serve::Query> RandomQueries(const ProjectionStore& store,
+                                        uint64_t seed, size_t count) {
+  AttrSet universe;
+  std::vector<uint32_t> domain(AttrSet::kMaxAttrs, 1);
+  for (const StoredProjection& p : store.projections()) {
+    universe = universe.Union(p.attrs);
+    for (size_t c = 0; c < p.columns.size(); ++c) {
+      domain[static_cast<size_t>(p.columns[c])] = p.domains[c];
+    }
+  }
+  const std::vector<int> attrs = universe.ToVector();
+  Rng rng(seed);
+  const auto any_attr = [&] { return attrs[rng.Uniform(attrs.size())]; };
+  const auto any_value = [&](int a) {
+    return static_cast<uint32_t>(
+        rng.Uniform(uint64_t{domain[static_cast<size_t>(a)]} + 1));
+  };
+  std::vector<serve::Query> out;
+  for (size_t i = 0; i < count; ++i) {
+    serve::Query q;
+    switch (rng.Uniform(4)) {
+      case 0:
+        q.attrs = universe;
+        break;
+      case 1:
+        q.attrs =
+            store.projections()[rng.Uniform(store.NumProjections())].attrs;
+        break;
+      case 2:
+        for (int a : attrs) {
+          if (rng.Bernoulli(0.5)) q.attrs.Add(a);
+        }
+        if (q.attrs.Empty()) q.attrs.Add(any_attr());
+        break;
+      default:
+        q.attrs.Add(any_attr());
+        break;
+    }
+    const uint64_t selections = rng.Uniform(4);
+    if ((selections & 1) != 0) {
+      const int a = any_attr();
+      q.selections.push_back(serve::Selection::Eq(a, any_value(a)));
+    }
+    if ((selections & 2) != 0) {
+      const int a = any_attr();
+      const uint32_t lo = any_value(a);
+      const uint32_t hi = std::max(lo, any_value(a));
+      q.selections.push_back(serve::Selection::Range(a, lo, hi));
+    }
+    out.push_back(std::move(q));
+  }
+  return out;
+}
+
+// Invalid shapes, materialized and count-only: an empty projection, a
+// projected or selected attribute outside the universe, and lo > hi.
+void CheckRandomInvalidQueries(const serve::QueryService& service,
+                               AttrSet universe, uint64_t seed) {
+  Rng rng(seed);
+  const std::vector<int> attrs = universe.ToVector();
+  const int outside = attrs.back() + 1 +
+                      static_cast<int>(rng.Uniform(
+                          static_cast<uint64_t>(AttrSet::kMaxAttrs - 1 -
+                                                attrs.back())));
+  for (int i = 0; i < 8; ++i) {
+    const int a = attrs[rng.Uniform(attrs.size())];
+    serve::Query empty;
+    empty.selections.push_back(serve::Selection::Eq(a, 0));
+    serve::Query out_of_universe;
+    out_of_universe.attrs = AttrSet::Single(a).Plus(outside);
+    serve::Query bad_selection;
+    bad_selection.attrs = AttrSet::Single(a);
+    bad_selection.selections.push_back(serve::Selection::Eq(outside, 0));
+    serve::Query inverted;
+    inverted.attrs = AttrSet::Single(a);
+    const uint32_t hi = static_cast<uint32_t>(rng.Uniform(8));
+    inverted.selections.push_back(serve::Selection::Range(
+        attrs[rng.Uniform(attrs.size())], hi + 1 +
+                                              static_cast<uint32_t>(
+                                                  rng.Uniform(4)),
+        hi));
+    for (serve::Query q : {empty, out_of_universe, bad_selection, inverted}) {
+      for (const bool count_only : {false, true}) {
+        q.count_only = count_only;
+        const serve::QueryResult res = service.Execute(q);
+        CHECK_EQ(res.status.code(), Status::Code::kInvalidArgument);
+        CHECK_EQ(res.rows, uint64_t{0});
+        CHECK(res.tuples.empty());
+      }
+    }
+  }
+}
+
+TEST_CASE(RandomQuerySweepMatchesTheOracles) {
+  // eps 0: every answer is the relation's own projection.
+  uint64_t seed = 1000;
+  for (const Fixture& f :
+       {MakeChainFixture(9, 3, 1), MakeChainFixture(10, 3, 7),
+        MakeChainFixture(12, 4, 3)}) {
+    const ProjectionStore store(f.data.relation, f.schema);
+    const serve::QueryService service(
+        ProjectionStore(f.data.relation, f.schema));
+    for (const serve::Query& q : RandomQueries(store, ++seed, 48)) {
+      CheckAnswer(service, q, DirectAnswer(f.data.relation, q));
+    }
+    CheckRandomInvalidQueries(service, f.data.relation.Universe(), ++seed);
+  }
+  // Noisy planted stores and mined ones: the full plan, filtered after.
+  // Nursery's [C][ABDEFGHI] joins across an empty separator.
+  std::vector<std::pair<Relation, Schema>> inputs;
+  for (const Fixture& f : {MakeChainFixture(8, 3, 11, /*noise=*/0.02),
+                           MakeChainFixture(9, 2, 13, /*noise=*/0.1)}) {
+    inputs.emplace_back(f.data.relation, f.schema);
+  }
+  const Relation nursery = NurseryDataset();
+  inputs.emplace_back(nursery, TopMinedScheme(nursery, 0.3));
+  const Relation chain = MakePlanted(9, 3, 37, /*noise=*/0.05).relation;
+  inputs.emplace_back(chain, TopMinedScheme(chain, 0.1));
+  for (const auto& [relation, schema] : inputs) {
+    const ProjectionStore store(relation, schema);
+    const serve::QueryService service(ProjectionStore(relation, schema));
+    for (const serve::Query& q : RandomQueries(store, ++seed, 32)) {
+      CheckAnswer(service, q, FullPlanAnswer(store, q));
+    }
+    CheckRandomInvalidQueries(service, relation.Universe(), ++seed);
+  }
+}
+
+// `projections` canonical projections over disjoint attribute pairs, each
+// every (a, b) with a < 128 and b < 64: 8,192 rows, so their join (a cross
+// product, every separator empty) has 2^(13 * projections) rows.
+ProjectionStore DisjointPairProduct(int projections) {
+  std::vector<StoredProjection> out;
+  for (int k = 0; k < projections; ++k) {
+    StoredProjection p;
+    p.attrs = AttrSet::Single(2 * k).Plus(2 * k + 1);
+    p.columns = {2 * k, 2 * k + 1};
+    p.domains = {128, 64};
+    p.codes.resize(2);
+    for (uint32_t a = 0; a < 128; ++a) {
+      for (uint32_t b = 0; b < 64; ++b) {
+        p.codes[0].push_back(a);
+        p.codes[1].push_back(b);
+      }
+    }
+    out.push_back(std::move(p));
+  }
+  return ProjectionStore(std::move(out), /*original_cells=*/0);
+}
+
+TEST_CASE(CountPastTwoToTheSixtyFourIsResourceExhausted) {
+  // Four projections: 2^52 rows, counted exactly without a row enumerated.
+  {
+    const serve::QueryService service(DisjointPairProduct(4));
+    serve::Query q;
+    q.attrs = service.snapshot()->planner().universe();
+    q.count_only = true;
+    q.budget_seconds = 2.0;
+    const serve::QueryResult res = service.Execute(q);
+    CHECK(res.status.ok());
+    CHECK_EQ(res.rows, uint64_t{1} << 52);
+    CHECK_EQ(res.plan_nodes, size_t{4});
+    CHECK_EQ(res.semijoin_passes, uint64_t{6});
+    CHECK_EQ(res.rows_in, uint64_t{4 * 8192});
+  }
+  // Five: 2^65 rows. The count must fail, not wrap (2^65 mod 2^64 is 0).
+  const serve::QueryService service(DisjointPairProduct(5));
+  serve::Query q;
+  q.attrs = service.snapshot()->planner().universe();
+  q.count_only = true;
+  q.budget_seconds = 2.0;
+  const serve::QueryResult res = service.Execute(q);
+  CHECK_EQ(res.status.code(), Status::Code::kResourceExhausted);
+  CHECK_EQ(res.rows, uint64_t{0});
+  // Below the overflow the same store still counts: a 3-projection cover.
+  serve::Query three;
+  three.attrs = AttrSet(0b111111);
+  three.count_only = true;
+  const serve::QueryResult counted = service.Execute(three);
+  CHECK(counted.status.ok());
+  CHECK_EQ(counted.rows, uint64_t{1} << 39);
+}
+
+TEST_CASE(QuerySpansCarryRowsInAndTheCountPass) {
+  const Fixture f = MakeChainFixture(10, 3, 7);
+  obs::Sink sink;
+  serve::ServiceOptions options;
+  options.sink = &sink;
+  const serve::QueryService service(
+      ProjectionStore(f.data.relation, f.schema), options);
+  const std::vector<StoredProjection>& projections =
+      service.snapshot()->store().projections();
+
+  // No selection: every row of every plan node enters the join.
+  serve::Query all;
+  all.attrs = f.data.relation.Universe();
+  all.count_only = true;
+  const serve::QueryResult counted = service.Execute(all);
+  CHECK(counted.status.ok());
+  uint64_t stored = 0;
+  for (const StoredProjection& p : projections) stored += p.NumRows();
+  CHECK_EQ(counted.rows_in, stored);
+  // A selection keeps only the matching rows of the nodes that carry it.
+  serve::Query narrow = all;
+  const int attr = projections[0].columns[0];
+  narrow.selections.push_back(serve::Selection::Eq(attr, 0));
+  const serve::QueryResult filtered = service.Execute(narrow);
+  CHECK(filtered.status.ok());
+  uint64_t kept = 0;
+  for (const StoredProjection& p : projections) {
+    const auto col = std::find(p.columns.begin(), p.columns.end(), attr);
+    if (col == p.columns.end()) {
+      kept += p.NumRows();
+      continue;
+    }
+    const std::vector<uint32_t>& codes =
+        p.codes[static_cast<size_t>(col - p.columns.begin())];
+    kept += static_cast<uint64_t>(std::count(codes.begin(), codes.end(), 0u));
+  }
+  CHECK_EQ(filtered.rows_in, kept);
+  CHECK(filtered.rows_in < counted.rows_in);
+
+  const std::string counted_rows_in =
+      "\"rows_in\":" + std::to_string(counted.rows_in);
+  const std::string counted_rows =
+      "\"rows\":" + std::to_string(counted.rows);
+  bool query_span = false;
+  bool count_span = false;
+  sink.ForEachEvent([&](int, const std::string&, const obs::TraceEvent& e) {
+    if (e.name == std::string("serve.query") &&
+        e.args_json.find(counted_rows_in) != std::string::npos) {
+      query_span = true;
+    }
+    if (e.name == std::string("yk.count") &&
+        e.args_json.find(counted_rows) != std::string::npos) {
+      count_span = true;
+    }
+  });
+  CHECK(query_span);
+  CHECK(count_span);
 }
 
 }  // namespace
