@@ -18,7 +18,8 @@
 // query count per row: query i of a row is workload entry i mod 256, and
 // each client thread runs one contiguous slice of those N, so the 1-, 8-
 // and 64-client rows run the same query multiset and read the same
-// result_rows, and their wall times are comparable.
+// result_rows and enumerated (the join rows the executor visited, summed
+// over the row's queries), and their wall times are comparable.
 //
 // Flags: --queries=N (default 4096), --mine-budget=S (default 5.0),
 // --json (JSONL rows for scripts/bench_trend.py, each stamped with the
@@ -134,6 +135,7 @@ struct LoopResult {
   size_t executed = 0;
   double seconds = 0.0;
   uint64_t result_rows = 0;
+  uint64_t enumerated = 0;
   uint64_t errors = 0;
 };
 
@@ -144,6 +146,7 @@ LoopResult RunClosedLoop(const serve::QueryService& service,
                          int threads, size_t total_queries) {
   const size_t clients = static_cast<size_t>(threads);
   std::atomic<uint64_t> rows{0};
+  std::atomic<uint64_t> enumerated{0};
   std::atomic<uint64_t> errors{0};
   std::vector<std::thread> workers;
   workers.reserve(static_cast<size_t>(threads));
@@ -152,6 +155,7 @@ LoopResult RunClosedLoop(const serve::QueryService& service,
   for (int t = 0; t < threads; ++t) {
     workers.emplace_back([&, t] {
       uint64_t local_rows = 0;
+      uint64_t local_enumerated = 0;
       uint64_t local_errors = 0;
       const size_t begin = total_queries * static_cast<size_t>(t) / clients;
       const size_t end =
@@ -159,6 +163,7 @@ LoopResult RunClosedLoop(const serve::QueryService& service,
       for (size_t i = begin; i < end; ++i) {
         const serve::QueryResult res =
             service.Execute(workload[i % workload.size()]);
+        local_enumerated += res.rows_enumerated;
         if (res.status.ok()) {
           local_rows += res.rows;
         } else {
@@ -166,6 +171,7 @@ LoopResult RunClosedLoop(const serve::QueryService& service,
         }
       }
       rows.fetch_add(local_rows);
+      enumerated.fetch_add(local_enumerated);
       errors.fetch_add(local_errors);
       if (sink != nullptr) sink->ReleaseLane();
     });
@@ -175,6 +181,7 @@ LoopResult RunClosedLoop(const serve::QueryService& service,
   out.executed = total_queries;
   out.seconds = watch.ElapsedSeconds();
   out.result_rows = rows.load();
+  out.enumerated = enumerated.load();
   out.errors = errors.load();
   return out;
 }
@@ -196,21 +203,24 @@ void PrintRow(const std::string& dataset, size_t rows, int cols, double eps,
     std::printf(
         "{\"fig\":0,\"dataset\":\"%s\",\"rows\":%zu,\"cols\":%d,"
         "\"eps\":%.2f,\"threads\":%d,\"queries\":%zu,\"seconds\":%.3f,"
-        "\"qps\":%.1f,\"result_rows\":%llu,\"errors\":%llu,"
-        "\"timed_out\":%s,\"nproc\":%ld,\"compiler\":\"%s\"}\n",
+        "\"qps\":%.1f,\"result_rows\":%llu,\"enumerated\":%llu,"
+        "\"errors\":%llu,\"timed_out\":%s,\"nproc\":%ld,"
+        "\"compiler\":\"%s\"}\n",
         dataset.c_str(), rows, cols, eps, threads, run.executed, run.seconds,
         static_cast<double>(run.executed) / std::max(run.seconds, 1e-9),
         static_cast<unsigned long long>(run.result_rows),
+        static_cast<unsigned long long>(run.enumerated),
         static_cast<unsigned long long>(run.errors),
         timed_out ? "true" : "false", ::sysconf(_SC_NPROCESSORS_ONLN),
         kCompiler);
     std::fflush(stdout);
     return;
   }
-  std::printf("%8d | %8zu | %9.3f %10.0f | %12llu %6llu%s\n", threads,
-              run.executed, run.seconds,
+  std::printf("%8d | %8zu | %9.3f %10.0f | %12llu %12llu %6llu%s\n",
+              threads, run.executed, run.seconds,
               static_cast<double>(run.executed) / std::max(run.seconds, 1e-9),
               static_cast<unsigned long long>(run.result_rows),
+              static_cast<unsigned long long>(run.enumerated),
               static_cast<unsigned long long>(run.errors),
               timed_out ? " TL" : "");
 }
@@ -231,9 +241,10 @@ void RunDataset(const std::string& dataset, const Relation& relation,
     std::printf("\n[%s] rows=%zu cols=%d eps=%.2f store_nodes=%zu\n",
                 dataset.c_str(), relation.NumRows(), relation.NumCols(), eps,
                 service.snapshot()->store().NumProjections());
-    std::printf("%8s | %8s | %9s %10s | %12s %6s\n", "clients", "queries",
-                "time[s]", "qps", "result_rows", "errors");
-    Rule(64);
+    std::printf("%8s | %8s | %9s %10s | %12s %12s %6s\n", "clients",
+                "queries", "time[s]", "qps", "result_rows", "enumerated",
+                "errors");
+    Rule(77);
   }
   for (int threads : {1, 8, 64}) {
     const LoopResult run =

@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "decomp/tuple_ids.h"
+#include "join/join_tree.h"
 #include "util/parallel_for.h"
 
 namespace maimon {
@@ -72,7 +73,9 @@ struct Walk {
   std::vector<Step> steps;
   std::vector<uint32_t> chosen;  // the current row of each step
   std::vector<uint32_t> out;
-  const YannakakisOptions* options = nullptr;
+  const Deadline* deadline = nullptr;
+  bool materialize = false;
+  TupleIdTable* seen = nullptr;  // the dedup table, when rows may repeat
   JoinResult* result = nullptr;
   uint64_t polls = 0;
 };
@@ -82,9 +85,12 @@ struct Walk {
 // Returns false on deadline expiry, polled every 1024 rows visited.
 bool Extend(Walk* w, size_t depth) {
   if (depth == w->steps.size()) {
+    ++w->result->enumerated;
+    if (w->seen != nullptr && !w->seen->Insert(w->out.data()).second) {
+      return true;
+    }
     ++w->result->rows;
-    if (w->options->on_row) w->options->on_row(w->out);
-    if (w->options->materialize) w->result->tuples.push_back(w->out);
+    if (w->materialize) w->result->tuples.push_back(w->out);
     return true;
   }
   const Step& step = w->steps[depth];
@@ -96,12 +102,17 @@ bool Extend(Walk* w, size_t depth) {
     w->chosen[depth] = r;
     for (const auto& [codes, slot] : step.writes) w->out[slot] = (*codes)[r];
     if (!Extend(w, depth + 1)) return false;
-    if ((++w->polls & 1023) == 0 && DeadlineExpired(w->options->deadline)) {
+    if ((++w->polls & 1023) == 0 && DeadlineExpired(w->deadline)) {
       return false;
     }
   }
   return true;
 }
+
+// A cut key of up to this many bits is marked in a bitmap even when the
+// node has few live rows; above it, the bitmap may take at most 64 bits
+// per live row, and a wider key goes through a TupleIdTable.
+constexpr uint64_t kMinBitmapBits = 4096;
 
 }  // namespace
 
@@ -271,17 +282,181 @@ Status YannakakisExecutor::ReduceImpl(const Deadline* deadline,
   return Status::Ok();
 }
 
+bool YannakakisExecutor::Prepare(const YannakakisOptions& options,
+                                 JoinResult* result, bool* dedup) {
+  result->columns = OutputColumns(options.output);
+  if (cut_) {
+    result->status =
+        Status::InvalidArgument("executor already cut by a distinct call");
+    return false;
+  }
+  cut_ = options.distinct;
+  result->status = Reduce(options.deadline, options.num_threads, options.sink);
+  if (result->status.ok() && options.distinct) {
+    result->status = Cut(options, dedup);
+  }
+  return result->status.ok();
+}
+
+size_t YannakakisExecutor::DropUnneeded(AttrSet output) {
+  // Only a leaf whose output attributes another node also holds can leave;
+  // when none can, MinimalCoveringSubtree would keep every node, so the
+  // common case allocates nothing.
+  const size_t n = nodes_.size();
+  bool can_leave = false;
+  for (size_t v = 0; n > 1 && v < n && !can_leave; ++v) {
+    if (tree_.children[v].size() + (tree_.parent[v] >= 0 ? 1 : 0) > 1) {
+      continue;
+    }
+    AttrSet others;
+    for (size_t u = 0; u < n; ++u) {
+      if (u != v) others = others.Union(nodes_[u].projection->attrs);
+    }
+    can_leave =
+        others.ContainsAll(nodes_[v].projection->attrs.Intersect(output));
+  }
+  if (!can_leave) return 0;
+  std::vector<AttrSet> rels(n);
+  for (size_t v = 0; v < n; ++v) rels[v] = nodes_[v].projection->attrs;
+  const std::vector<int> keep = MinimalCoveringSubtree(tree_, rels, output);
+  tree_ = InducedSubtree(tree_, keep);
+  // keep ascends, so node keep[i] moves down to i (or stays).
+  for (size_t i = 0; i < keep.size(); ++i) {
+    const size_t v = static_cast<size_t>(keep[i]);
+    if (v != i) nodes_[i] = std::move(nodes_[v]);
+  }
+  nodes_.resize(keep.size());
+  return n - keep.size();
+}
+
+Status YannakakisExecutor::Cut(const YannakakisOptions& options,
+                               bool* dedup) {
+  const AttrSet out = options.output.Empty()
+                          ? universe_
+                          : universe_.Intersect(options.output);
+  *dedup = false;
+  // Every attribute kept: the join of distinct projections is distinct.
+  if (out == universe_) return Status::Ok();
+  obs::Span span(options.sink, "yk.cut");
+  uint64_t rows_in = 0;
+  for (const Node& node : nodes_) rows_in += node.live.size();
+  // After the full reduction the join of any connected subtree is the
+  // projection of the whole join, so the minimal subtree covering the
+  // output answers alone.
+  const size_t dropped = DropUnneeded(out);
+
+  // Each node keeps its first live row of every distinct key: its output
+  // codes, then the ids of its kept edges whose separator the output does
+  // not hold (an edge inside the output is fixed by the codes). The key is
+  // a mixed-radix integer over the fields' ranges (codes[c] < domains[c],
+  // ids < num_ids), marked in a bitmap when its range is small enough.
+  std::vector<std::pair<const std::vector<uint32_t>*, uint64_t>> fields;
+  std::vector<uint32_t> tuple;
+  uint64_t rows_out = 0;
+  uint64_t hashed = 0;
+  uint64_t polls = 0;
+  for (size_t v = 0; v < nodes_.size(); ++v) {
+    Node& node = nodes_[v];
+    const StoredProjection& p = *node.projection;
+    fields.clear();
+    for (size_t c = 0; c < p.columns.size(); ++c) {
+      if (out.Contains(p.columns[c])) {
+        fields.emplace_back(&p.codes[c], p.domains[c]);
+      }
+    }
+    // A kept separator outside the output leaves the cut join over more
+    // than the output columns, so its rows may repeat an output row.
+    const auto add_edge = [&](const std::vector<uint32_t>& ids,
+                              uint32_t num_ids, AttrSet neighbor) {
+      if (out.ContainsAll(p.attrs.Intersect(neighbor))) return;
+      *dedup = true;
+      fields.emplace_back(&ids, num_ids);
+    };
+    const int parent = tree_.parent[v];
+    if (parent >= 0) {
+      add_edge(node.up->child, node.up->num_ids,
+               nodes_[static_cast<size_t>(parent)].projection->attrs);
+    }
+    for (int c : tree_.children[v]) {
+      const Node& child = nodes_[static_cast<size_t>(c)];
+      add_edge(child.up->parent, child.up->num_ids, child.projection->attrs);
+    }
+
+    std::vector<uint32_t>& live = node.live;
+    uint64_t bits = 1;
+    bool bitmap = true;
+    for (const auto& field : fields) {
+      bitmap = bitmap && !__builtin_mul_overflow(bits, field.second, &bits);
+    }
+    bitmap = bitmap &&
+             bits <= std::max(kMinBitmapBits,
+                              64 * static_cast<uint64_t>(live.size()));
+    std::vector<uint64_t> marked(bitmap ? (bits + 63) / 64 : 0, 0);
+    TupleIdTable table(bitmap ? 0 : fields.size());
+    tuple.resize(fields.size());
+    if (!bitmap) ++hashed;
+    size_t kept = 0;
+    for (size_t i = 0; i < live.size(); ++i) {
+      if ((++polls & 1023) == 0 && DeadlineExpired(options.deadline)) {
+        return Status::DeadlineExceeded("join cut");
+      }
+      const uint32_t r = live[i];
+      bool fresh = false;
+      if (bitmap) {
+        uint64_t key = 0;
+        bool in_range = true;
+        for (size_t f = fields.size(); f-- > 0;) {
+          const uint32_t digit = (*fields[f].first)[r];
+          in_range = in_range && digit < fields[f].second;
+          key = key * fields[f].second + digit;
+        }
+        // A code past its domain breaks the projection's contract; it
+        // must not index past the bitmap or alias another key.
+        if (!in_range) {
+          return Status::InvalidArgument("join cut: code outside its domain");
+        }
+        uint64_t& word = marked[key >> 6];
+        const uint64_t bit = uint64_t{1} << (key & 63);
+        fresh = (word & bit) == 0;
+        word |= bit;
+      } else {
+        for (size_t f = 0; f < fields.size(); ++f) {
+          tuple[f] = (*fields[f].first)[r];
+        }
+        fresh = table.Insert(tuple.data()).second;
+      }
+      if (fresh) live[kept++] = r;
+    }
+    live.resize(kept);
+    rows_out += kept;
+  }
+  if (span.active()) {
+    span.Arg("rows_in", rows_in);
+    span.Arg("rows_out", rows_out);
+    span.Arg("nodes_dropped", static_cast<uint64_t>(dropped));
+    span.Arg("hashed", hashed);
+  }
+  return Status::Ok();
+}
+
 JoinResult YannakakisExecutor::Execute(const YannakakisOptions& options) {
   JoinResult result;
-  result.columns = OutputColumns(options.output);
-  result.status = Reduce(options.deadline, options.num_threads, options.sink);
-  if (!result.status.ok()) return result;
+  bool dedup = false;
+  if (Prepare(options, &result, &dedup)) {
+    Enumerate(options.deadline, options.sink, options.materialize, dedup,
+              &result);
+  }
+  return result;
+}
 
-  obs::Span span(options.sink, "yk.join");
+void YannakakisExecutor::Enumerate(const Deadline* deadline, obs::Sink* sink,
+                                   bool materialize, bool dedup,
+                                   JoinResult* result) const {
+  obs::Span span(sink, "yk.join");
   std::vector<size_t> slot_of(static_cast<size_t>(AttrSet::kMaxAttrs),
-                              result.columns.size());
-  for (size_t i = 0; i < result.columns.size(); ++i) {
-    slot_of[static_cast<size_t>(result.columns[i])] = i;
+                              result->columns.size());
+  for (size_t i = 0; i < result->columns.size(); ++i) {
+    slot_of[static_cast<size_t>(result->columns[i])] = i;
   }
 
   // One step per node in preorder. A child's live rows are grouped by id
@@ -318,32 +493,48 @@ JoinResult YannakakisExecutor::Execute(const YannakakisOptions& options) {
     const std::vector<int>& columns = node.projection->columns;
     for (size_t c = 0; c < columns.size(); ++c) {
       const size_t slot = slot_of[static_cast<size_t>(columns[c])];
-      if (slot == result.columns.size() || written.Contains(columns[c])) {
+      if (slot == result->columns.size() || written.Contains(columns[c])) {
         continue;
       }
       written.Add(columns[c]);
       step.writes.emplace_back(&node.projection->codes[c], slot);
     }
   }
+  TupleIdTable seen(result->columns.size());
   walk.chosen.assign(nodes_.size(), 0);
-  walk.out.assign(result.columns.size(), 0);
-  walk.options = &options;
-  walk.result = &result;
+  walk.out.assign(result->columns.size(), 0);
+  walk.deadline = deadline;
+  walk.materialize = materialize;
+  walk.seen = dedup ? &seen : nullptr;
+  walk.result = result;
   if (!walk.steps.empty() && !Extend(&walk, 0)) {
-    result.status = Status::DeadlineExceeded("join enumeration");
+    result->status = Status::DeadlineExceeded("join enumeration");
   }
-  span.Arg("rows", result.rows);
-  obs::Count(options.sink, "yk.join_rows", result.rows);
-  return result;
+  span.Arg("rows", result->rows);
+  obs::Count(sink, "yk.join_rows", result->enumerated);
 }
 
 JoinResult YannakakisExecutor::Count(const YannakakisOptions& options) {
   JoinResult result;
-  result.columns = OutputColumns(options.output);
-  result.status = Reduce(options.deadline, options.num_threads, options.sink);
-  if (!result.status.ok()) return result;
-
+  bool dedup = false;
+  if (!Prepare(options, &result, &dedup)) return result;
+  if (dedup) {
+    // The cut join repeats output rows: count the distinct ones it holds.
+    Enumerate(options.deadline, options.sink, /*materialize=*/false,
+              /*dedup=*/true, &result);
+    if (!result.status.ok()) result.rows = 0;
+    return result;
+  }
   obs::Span span(options.sink, "yk.count");
+  uint64_t total = 0;
+  result.status = SumProduct(options.deadline, &total);
+  if (result.status.ok()) result.rows = total;
+  span.Arg("rows", result.rows);
+  return result;
+}
+
+Status YannakakisExecutor::SumProduct(const Deadline* deadline,
+                                      uint64_t* total) const {
   // Leaf to root, each live row's weight is the number of join rows of its
   // subtree that extend it: the product, over its children, of the
   // child's message at the row's separator id, where a child's message is
@@ -351,50 +542,43 @@ JoinResult YannakakisExecutor::Count(const YannakakisOptions& options) {
   // After the full reduction every row extends to a join row, so every
   // partial product is at most the total: an overflow anywhere means the
   // count does not fit in 64 bits.
-  const auto sum_product = [&](uint64_t* total) {
-    const Status overflow =
-        Status::ResourceExhausted("join row count exceeds 2^64 - 1");
-    std::vector<std::vector<uint64_t>> messages(nodes_.size());
-    std::vector<uint64_t> root_sum(1, 0);
-    uint64_t polls = 0;
-    for (size_t d = tree_.preorder.size(); d-- > 0;) {
-      const size_t v = static_cast<size_t>(tree_.preorder[d]);
-      const std::vector<uint32_t>& live = nodes_[v].live;
-      std::vector<uint64_t> weight(live.size(), 1);
-      for (int c : tree_.children[v]) {
-        const std::vector<uint32_t>& ids =
-            nodes_[static_cast<size_t>(c)].up->parent;
-        const std::vector<uint64_t>& message = messages[static_cast<size_t>(c)];
-        for (size_t i = 0; i < live.size(); ++i) {
-          if ((++polls & 1023) == 0 && DeadlineExpired(options.deadline)) {
-            return Status::DeadlineExceeded("join count");
-          }
-          if (__builtin_mul_overflow(weight[i], message[ids[live[i]]],
-                                     &weight[i])) {
-            return overflow;
-          }
-        }
-        std::vector<uint64_t>().swap(messages[static_cast<size_t>(c)]);
-      }
-      const EdgeIds* up = tree_.parent[v] < 0 ? nullptr : nodes_[v].up;
-      std::vector<uint64_t>& sums = up == nullptr ? root_sum : messages[v];
-      if (up != nullptr) sums.assign(up->num_ids, 0);
+  const Status overflow =
+      Status::ResourceExhausted("join row count exceeds 2^64 - 1");
+  std::vector<std::vector<uint64_t>> messages(nodes_.size());
+  std::vector<uint64_t> root_sum(1, 0);
+  uint64_t polls = 0;
+  for (size_t d = tree_.preorder.size(); d-- > 0;) {
+    const size_t v = static_cast<size_t>(tree_.preorder[d]);
+    const std::vector<uint32_t>& live = nodes_[v].live;
+    std::vector<uint64_t> weight(live.size(), 1);
+    for (int c : tree_.children[v]) {
+      const std::vector<uint32_t>& ids =
+          nodes_[static_cast<size_t>(c)].up->parent;
+      const std::vector<uint64_t>& message = messages[static_cast<size_t>(c)];
       for (size_t i = 0; i < live.size(); ++i) {
-        if ((++polls & 1023) == 0 && DeadlineExpired(options.deadline)) {
+        if ((++polls & 1023) == 0 && DeadlineExpired(deadline)) {
           return Status::DeadlineExceeded("join count");
         }
-        uint64_t& sum = sums[up == nullptr ? 0 : up->child[live[i]]];
-        if (__builtin_add_overflow(sum, weight[i], &sum)) return overflow;
+        if (__builtin_mul_overflow(weight[i], message[ids[live[i]]],
+                                   &weight[i])) {
+          return overflow;
+        }
       }
+      std::vector<uint64_t>().swap(messages[static_cast<size_t>(c)]);
     }
-    *total = root_sum[0];
-    return Status::Ok();
-  };
-  uint64_t total = 0;
-  result.status = sum_product(&total);
-  if (result.status.ok()) result.rows = total;
-  span.Arg("rows", result.rows);
-  return result;
+    const EdgeIds* up = tree_.parent[v] < 0 ? nullptr : nodes_[v].up;
+    std::vector<uint64_t>& sums = up == nullptr ? root_sum : messages[v];
+    if (up != nullptr) sums.assign(up->num_ids, 0);
+    for (size_t i = 0; i < live.size(); ++i) {
+      if ((++polls & 1023) == 0 && DeadlineExpired(deadline)) {
+        return Status::DeadlineExceeded("join count");
+      }
+      uint64_t& sum = sums[up == nullptr ? 0 : up->child[live[i]]];
+      if (__builtin_add_overflow(sum, weight[i], &sum)) return overflow;
+    }
+  }
+  *total = root_sum[0];
+  return Status::Ok();
 }
 
 std::vector<StoredProjection> YannakakisExecutor::ReducedProjections() const {

@@ -17,6 +17,18 @@
 //               same full reduction, one leaf-to-root sum-product pass
 //               (Yannakakis over the counting semiring) in O(live rows).
 //
+// With YannakakisOptions::distinct both answer the distinct projection of
+// the join onto `output` through Yannakakis' projection step: projection
+// is a sum in the Boolean semiring, so it is pushed below the join. After
+// the full reduction the nodes no output attribute needs leave, and each
+// kept node is cut in place to one live row per distinct key — its output
+// codes plus the ids of its kept edges whose separator is not inside the
+// output. When every kept separator is inside the output (the output is
+// free-connex for the kept tree; Bagan, Durand and Grandjean, CSL 2007)
+// the join of the cut nodes is already the distinct answer, so Execute
+// needs no dedup table and Count its sum-product pass alone; otherwise
+// the smaller cut join is deduplicated through a TupleIdTable.
+//
 // Every join step is keyed on dense separator ids, never on packed
 // strings. Each join-tree edge carries EdgeIds: the id of every row of the
 // child and of the parent projection, equal iff the rows agree on the
@@ -36,7 +48,6 @@
 #define MAIMON_DECOMP_YANNAKAKIS_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "decomp/projection_store.h"
@@ -52,8 +63,8 @@ struct YannakakisOptions {
   /// audit only needs the streamed count, so wide reconstructions stay
   /// O(1) in result size.
   bool materialize = false;
-  /// Polled inside the reducer's per-tuple loops (every 1024 tuples), every
-  /// 1024 rows the enumeration visits and every 1024 rows of Count's pass;
+  /// Polled inside the reducer's per-tuple loops (every 1024 tuples), and
+  /// every 1024 rows of the cut, of the enumeration and of Count's pass;
   /// expiry returns kDeadlineExceeded (Execute: with the partial count).
   /// Nullable.
   const Deadline* deadline = nullptr;
@@ -62,30 +73,35 @@ struct YannakakisOptions {
   /// for every value (see Reduce). The join enumeration itself stays
   /// single-threaded — it streams one row at a time by design.
   int num_threads = 1;
-  /// Observability sink (nullable): `yk.reduce` / `yk.join` / `yk.count`
-  /// spans plus the `yk.semijoin_dropped`, `yk.semijoin_passes` and
-  /// `yk.join_rows` counters.
+  /// Observability sink (nullable): `yk.reduce` / `yk.cut` / `yk.join` /
+  /// `yk.count` spans plus the `yk.semijoin_dropped`, `yk.semijoin_passes`
+  /// and `yk.join_rows` (rows enumerated) counters.
   obs::Sink* sink = nullptr;
   /// The columns each joined row carries (JoinResult::columns): these
   /// attributes of the join, ascending. Empty means every attribute. serve/
   /// passes the query's projection, so no row carries a column the caller
   /// would drop.
   AttrSet output;
-  /// Streamed per joined row, in `JoinResult::columns` order, before the
-  /// materialize check — serve/'s dedup hook: callers deduplicate one row
-  /// at a time instead of retaining the join. The referenced vector is the
-  /// enumerator's scratch row; copy what you keep. Nullable.
-  std::function<void(const std::vector<uint32_t>&)> on_row;
+  /// Set semantics over `output`: Execute returns, and Count counts, each
+  /// distinct output row once, through the projection step (see the file
+  /// comment) — the nodes are cut in place, so a distinct call is the
+  /// executor's last. Off, the rows are the join's, projected row by row.
+  bool distinct = false;
 };
 
 struct JoinResult {
   /// Output columns: YannakakisOptions::output's original indices (the
   /// whole universe by default), ascending.
   std::vector<int> columns;
-  /// Exact number of rows of the natural join of the projections (partial
-  /// when Execute's status is kDeadlineExceeded; 0 when Count's status is
-  /// not OK).
+  /// Exact number of rows of the natural join of the projections — of its
+  /// distinct projection onto the columns under `distinct` (partial when
+  /// Execute's status is kDeadlineExceeded; 0 when Count's status is not
+  /// OK).
   uint64_t rows = 0;
+  /// Join rows the enumeration visited: `rows` for a plain Execute, the
+  /// cut join's rows under `distinct`, and 0 for a Count its sum-product
+  /// pass answers.
+  uint64_t enumerated = 0;
   /// Joined rows in `columns` order; filled only when materialize is set.
   std::vector<std::vector<uint32_t>> tuples;
   Status status;
@@ -150,11 +166,13 @@ class YannakakisExecutor {
 
   /// The join's row count, without enumerating a row: the same full
   /// reduction as Execute (so semijoin_passes() reads the same), then one
-  /// leaf-to-root sum-product pass over the live rows. Reads the deadline,
-  /// thread count, sink and output of `options` (the output only names
-  /// JoinResult::columns; materialize and on_row do not apply). A count
-  /// that does not fit in 64 bits returns kResourceExhausted, never a
-  /// wrapped value; deadline expiry returns kDeadlineExceeded.
+  /// leaf-to-root sum-product pass over the live rows. Reads every option
+  /// but materialize. Under `distinct` it counts the distinct output rows:
+  /// by the sum-product pass over the cut nodes when the output is
+  /// free-connex for them, else by enumerating the cut join through a
+  /// dedup table. A count that does not fit in 64 bits returns
+  /// kResourceExhausted, never a wrapped value; deadline expiry returns
+  /// kDeadlineExceeded.
   JoinResult Count(const YannakakisOptions& options);
 
   /// Tuples dropped across both reducer passes (dangling tuples: stored
@@ -171,7 +189,8 @@ class YannakakisExecutor {
   /// StoredProjections (attrs/columns/domains as given). After a complete
   /// Reduce() this is the globally consistent store serve/ snapshots: the
   /// join of any connected subtree of it equals the projection of the full
-  /// join onto that subtree's attributes.
+  /// join onto that subtree's attributes. (After a distinct call: the cut
+  /// nodes.)
   std::vector<StoredProjection> ReducedProjections() const;
 
   const JoinTree& tree() const { return tree_; }
@@ -189,6 +208,21 @@ class YannakakisExecutor {
                     obs::Sink* sink);
   // The columns of a join that keeps `output` (all when empty).
   std::vector<int> OutputColumns(AttrSet output) const;
+  // What Execute and Count share: the output columns, the full reduction
+  // and, under `distinct`, the cut. False when result->status is not OK;
+  // *dedup tells whether the cut join still repeats output rows.
+  bool Prepare(const YannakakisOptions& options, JoinResult* result,
+               bool* dedup);
+  // The projection step over `output` (see the file comment).
+  Status Cut(const YannakakisOptions& options, bool* dedup);
+  // Drops the nodes no attribute of `output` needs; returns how many left.
+  size_t DropUnneeded(AttrSet output);
+  // Streams the join of the live rows into `result`, keeping each distinct
+  // row once when `dedup` is set.
+  void Enumerate(const Deadline* deadline, obs::Sink* sink, bool materialize,
+                 bool dedup, JoinResult* result) const;
+  // The join's row count by one leaf-to-root sum-product pass.
+  Status SumProduct(const Deadline* deadline, uint64_t* total) const;
 
   JoinTree tree_;
   std::vector<Node> nodes_;
@@ -197,6 +231,7 @@ class YannakakisExecutor {
   uint64_t semijoin_dropped_ = 0;
   uint64_t semijoin_passes_ = 0;
   bool reduced_ = false;
+  bool cut_ = false;  // a distinct call ran, so the nodes may be cut
 };
 
 }  // namespace maimon

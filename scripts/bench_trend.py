@@ -35,12 +35,13 @@ Work counts are gated exactly. On every matched pair where neither side
 timed out, the count columns must be equal: minseps, oracle_calls, seeds,
 expansions and entropy_queries on fig13/fig14 rows; schemes, mis,
 conflict_vertices, conflict_edges and join_rows_dp on fig15 rows;
-result_rows and errors on bench_serve_qps rows (the rows with a `qps`
-column). Any difference fails the gate, whatever the seconds say and below
-the noise floor too. A completed row's counts are a pure function of the
-code and the row's inputs, so a difference is a change in what the miner
-mines or what the query service answers, which is either a bug or a reason
-to re-record the snapshot. A row that timed out on either side stops at a
+result_rows, enumerated and errors on bench_serve_qps rows (the rows with
+a `qps` column). Any difference fails the gate, whatever the seconds say
+and below the noise floor too. A completed row's counts are a pure
+function of the code and the row's inputs, so a difference is a change in
+what the miner mines, what the query service answers or how many join
+rows it visits to answer, which is either a bug or a reason to re-record
+the snapshot. A row that timed out on either side stops at a
 timing-dependent point, so its counts are not compared. A fig13/fig14 or
 serve row has timed out when its `timed_out` is true; a fig15 row when its
 `marker` holds " TL" (mining or assembly ran out of budget) or its
@@ -65,7 +66,7 @@ COUNT_KEYS = ("minseps", "oracle_calls", "seeds", "expansions",
               "entropy_queries")
 FIG15_COUNT_KEYS = ("schemes", "mis", "conflict_vertices", "conflict_edges",
                     "join_rows_dp")
-SERVE_COUNT_KEYS = ("result_rows", "errors")
+SERVE_COUNT_KEYS = ("result_rows", "enumerated", "errors")
 
 
 def count_keys(row):

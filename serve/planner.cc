@@ -65,6 +65,8 @@ QueryPlan Planner::Plan(const Query& query) const {
   }
   plan.point_lookup = plan.nodes.size() == 1 && query.selections.size() == 1 &&
                       query.selections[0].IsPoint();
+  plan.index_scan = plan.nodes.size() == 1 && query.selections.empty() &&
+                    query.attrs.Count() == 1;
   plan.needs_dedup = plan.output != plan.covered;
   plan.status = Status::Ok();
   return plan;

@@ -76,6 +76,10 @@ struct QueryPlan {
   /// Single node + exactly one equality selection: the service answers
   /// from a cached per-projection hash index, no executor at all.
   bool point_lookup = false;
+  /// One projected attribute, no selection (so a single node): the service
+  /// reads the distinct values from the keys of that column's cached
+  /// index, no executor at all.
+  bool index_scan = false;
   /// output != covered: joined rows must be projected and deduplicated.
   /// When equal, the subtree join itself is already distinct (a join of
   /// distinct-row projections on their shared keys).

@@ -41,6 +41,13 @@ std::vector<size_t> SlotsOf(const std::vector<int>& columns, AttrSet attrs) {
   return slots;
 }
 
+// The column of `proj` holding `attr` (one of its attributes).
+size_t ColumnOf(const StoredProjection& proj, int attr) {
+  size_t col = 0;
+  while (proj.columns[col] != attr) ++col;
+  return col;
+}
+
 }  // namespace
 
 Snapshot::Snapshot(ProjectionStore store, const ServiceOptions& options)
@@ -54,6 +61,22 @@ Snapshot::Snapshot(ProjectionStore store, const ServiceOptions& options)
     }
     edge_ids_.push_back(std::make_unique<LazyEdge>());
   }
+}
+
+const Snapshot::ValueIndex& Snapshot::PointIndex(int node, size_t col) const {
+  LazyIndex& index = *point_index_[static_cast<size_t>(node)][col];
+  std::call_once(index.once, [&] {
+    const StoredProjection& proj =
+        store_.projections()[static_cast<size_t>(node)];
+    const std::vector<uint32_t>& column = proj.codes[col];
+    // Codes may be sparse (domain up to 2^32 - 1): at most one key per row.
+    index.rows_by_value.reserve(
+        std::min<size_t>(proj.domains[col], column.size()));
+    for (size_t r = 0; r < column.size(); ++r) {
+      index.rows_by_value[column[r]].push_back(static_cast<uint32_t>(r));
+    }
+  });
+  return index.rows_by_value;
 }
 
 const EdgeIds& Snapshot::EdgeIdsOf(int node) const {
@@ -137,6 +160,8 @@ QueryResult QueryService::ExecuteOnSnapshot(const Snapshot& snap,
   if (plan.point_lookup) {
     obs::Count(sink, "serve.point_lookups", 1);
     PointLookup(snap, plan, query, &result);
+  } else if (plan.index_scan) {
+    IndexScan(snap, plan, query, &result);
   } else {
     RunSubtree(snap, plan, query, dl, &result);
   }
@@ -145,6 +170,7 @@ QueryResult QueryService::ExecuteOnSnapshot(const Snapshot& snap,
     span.Arg("attrs", query.attrs.ToString());
     span.Arg("nodes", static_cast<int>(plan.nodes.size()));
     span.Arg("rows_in", result.rows_in);
+    span.Arg("enumerated", result.rows_enumerated);
     span.Arg("rows", result.rows);
   }
   obs::Count(sink, "serve.rows", result.rows);
@@ -161,23 +187,10 @@ void QueryService::PointLookup(const Snapshot& snap, const QueryPlan& plan,
   const StoredProjection& proj =
       snap.store().projections()[static_cast<size_t>(pnode.store_index)];
   const Selection& sel = query.selections[0];
-  size_t col = 0;
-  while (proj.columns[col] != sel.attr) ++col;
-
-  Snapshot::LazyIndex& index =
-      *snap.point_index_[static_cast<size_t>(pnode.store_index)][col];
-  std::call_once(index.once, [&] {
-    const std::vector<uint32_t>& column = proj.codes[col];
-    // Codes may be sparse (domain up to 2^32 - 1): at most one key per row.
-    index.rows_by_value.reserve(
-        std::min<size_t>(proj.domains[col], column.size()));
-    for (size_t r = 0; r < column.size(); ++r) {
-      index.rows_by_value[column[r]].push_back(static_cast<uint32_t>(r));
-    }
-  });
-
-  const auto it = index.rows_by_value.find(sel.lo);
-  if (it == index.rows_by_value.end()) return;  // zero matches, status Ok
+  const Snapshot::ValueIndex& index =
+      snap.PointIndex(pnode.store_index, ColumnOf(proj, sel.attr));
+  const auto it = index.find(sel.lo);
+  if (it == index.end()) return;  // zero matches, status Ok
   result->rows_in = it->second.size();
   const std::vector<size_t> slots = SlotsOf(proj.columns, plan.output);
   TupleIdTable seen(slots.size());
@@ -188,6 +201,19 @@ void QueryService::PointLookup(const Snapshot& snap, const QueryPlan& plan,
     ++result->rows;
     if (!query.count_only) result->tuples.push_back(out);
   }
+}
+
+void QueryService::IndexScan(const Snapshot& snap, const QueryPlan& plan,
+                             const Query& query, QueryResult* result) const {
+  const int node = plan.nodes[0].store_index;
+  const Snapshot::ValueIndex& index = snap.PointIndex(
+      node, ColumnOf(snap.store().projections()[static_cast<size_t>(node)],
+                     plan.output.First()));
+  result->rows_in = index.size();
+  result->rows = index.size();
+  if (query.count_only) return;
+  result->tuples.reserve(index.size());
+  for (const auto& entry : index) result->tuples.push_back({entry.first});
 }
 
 void QueryService::RunSubtree(const Snapshot& snap, const QueryPlan& plan,
@@ -213,9 +239,7 @@ void QueryService::RunSubtree(const Snapshot& snap, const QueryPlan& plan,
     std::vector<std::pair<const std::vector<uint32_t>*, Selection>> preds;
     preds.reserve(pnode.selections.size());
     for (const Selection& sel : pnode.selections) {
-      size_t col = 0;
-      while (proj.columns[col] != sel.attr) ++col;
-      preds.emplace_back(&proj.codes[col], sel);
+      preds.emplace_back(&proj.codes[ColumnOf(proj, sel.attr)], sel);
     }
     ProjectionRows in;
     in.projection = &proj;
@@ -253,33 +277,17 @@ void QueryService::RunSubtree(const Snapshot& snap, const QueryPlan& plan,
   yopts.num_threads = 1;
   yopts.sink = options_.sink;
   yopts.output = plan.output;
-
-  JoinResult joined;
-  if (!plan.needs_dedup) {
-    // Output equals the covered attributes: the subtree join of
-    // distinct-row projections is already distinct, so its count is the
-    // answer's and needs no row enumerated.
-    if (query.count_only) {
-      joined = executor.Count(yopts);
-    } else {
-      yopts.materialize = true;
-      joined = executor.Execute(yopts);
-    }
-    result->rows = joined.rows;
-    result->tuples = std::move(joined.tuples);
-  } else {
-    // The executor streams rows of the output columns only; keep each
-    // distinct one — the join itself is never retained.
-    TupleIdTable seen(result->columns.size());
-    yopts.on_row = [&](const std::vector<uint32_t>& row) {
-      if (seen.Insert(row.data()).second && !query.count_only) {
-        result->tuples.push_back(row);
-      }
-    };
-    joined = executor.Execute(yopts);
-    result->rows = seen.size();
-  }
+  // Output equal to the covered attributes: the subtree join of
+  // distinct-row projections is already distinct. Otherwise the executor
+  // projects before it joins.
+  yopts.distinct = plan.needs_dedup;
+  yopts.materialize = !query.count_only;
+  JoinResult joined =
+      query.count_only ? executor.Count(yopts) : executor.Execute(yopts);
   result->status = joined.status;
+  result->rows = joined.rows;
+  result->rows_enumerated = joined.enumerated;
+  result->tuples = std::move(joined.tuples);
   result->semijoin_passes = executor.semijoin_passes();
 }
 

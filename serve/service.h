@@ -21,14 +21,18 @@
 //
 // A query joins its plan's covering projections along the subtree of the
 // planner's join tree they induce, keyed on the snapshot's cached
-// separator ids, and the executor writes only the query's columns. A
-// count-only query whose output needs no dedup is answered by the
-// executor's sum-product Count, without enumerating a row; every distinct
-// check runs through a TupleIdTable.
+// separator ids, and the executor writes only the query's columns. A plan
+// whose output is a strict subset of its covered attributes asks the
+// executor for set semantics (YannakakisOptions::distinct): after the
+// reduction each covering node is cut to its distinct output-and-separator
+// keys, and only the join of the cut nodes is enumerated. A count-only
+// query is answered by the executor's Count — the sum-product pass
+// whenever the (cut) join is distinct. An unfiltered one-column query
+// reads its distinct values from the keys of that column's point index.
 //
-// Per query: an obs "serve.query" span (attrs, nodes, rows_in, rows; its
-// args are built only when the span is recorded) plus serve.* counters
-// (queries, rows, plan_nodes, pruned_nodes, point_lookups,
+// Per query: an obs "serve.query" span (attrs, nodes, rows_in, enumerated,
+// rows; its args are built only when the span is recorded) plus serve.*
+// counters (queries, rows, plan_nodes, pruned_nodes, point_lookups,
 // deadline_exceeded, rejected), and a wall deadline (query budget or
 // service default) enforced down through the executor's per-tuple
 // polling.
@@ -80,8 +84,12 @@ struct QueryResult {
   /// A count-only answer runs the same reduction, so it reads the same.
   uint64_t semijoin_passes = 0;
   /// Rows that entered the join: the live rows after pushdown, summed over
-  /// the plan's nodes (a point lookup: the rows its index returned).
+  /// the plan's nodes (a point lookup: the rows its index returned; an
+  /// index scan: the keys it read).
   uint64_t rows_in = 0;
+  /// Join rows the executor visited (JoinResult::enumerated): 0 for point
+  /// lookups, index scans and answers of Count's sum-product pass.
+  uint64_t rows_enumerated = 0;
 };
 
 /// One immutable serving snapshot: the canonically reduced store, its
@@ -97,12 +105,15 @@ class Snapshot {
  private:
   friend class QueryService;
 
-  // Per-(node, column) value -> row-index map, built on first point
-  // lookup of that column and cached for the snapshot's lifetime.
+  using ValueIndex = std::unordered_map<uint32_t, std::vector<uint32_t>>;
+  // Per-(node, column) value -> row-index map, built on the first query
+  // that reads it and cached for the snapshot's lifetime.
   struct LazyIndex {
     std::once_flag once;
-    std::unordered_map<uint32_t, std::vector<uint32_t>> rows_by_value;
+    ValueIndex rows_by_value;
   };
+  // The point index of column `col` of projection `node`.
+  const ValueIndex& PointIndex(int node, size_t col) const;
 
   // The separator ids of the planner tree's edge from a node to its
   // parent, labeled over both whole projections on the first query that
@@ -168,6 +179,8 @@ class QueryService {
                                 const Query& query) const;
   void PointLookup(const Snapshot& snap, const QueryPlan& plan,
                    const Query& query, QueryResult* result) const;
+  void IndexScan(const Snapshot& snap, const QueryPlan& plan,
+                 const Query& query, QueryResult* result) const;
   void RunSubtree(const Snapshot& snap, const QueryPlan& plan,
                   const Query& query, const Deadline* deadline,
                   QueryResult* result) const;

@@ -17,6 +17,8 @@
 //   * the executor's sum-product Count equals its enumerated row count on
 //     every store here, empty separators and dangling rows included, and
 //     an output-only enumeration is the full one projected, row by row;
+//   * with `distinct`, Execute and Count over random outputs equal the set
+//     projection of the full materialized join on every store here;
 //   * TupleIdTable numbers tuples densely in first-occurrence order.
 
 #include <algorithm>
@@ -35,6 +37,7 @@
 #include "scheme/assembler.h"
 #include "scheme/ranker.h"
 #include "tests/test_util.h"
+#include "util/rng.h"
 
 namespace maimon {
 namespace {
@@ -507,6 +510,151 @@ TEST_CASE(CountEqualsTheEnumeratedRowsOnEveryStore) {
   for (const ProjectionStore& store : stores) {
     CheckCountMatchesEnumeration(store);
   }
+}
+
+// Every store this file builds: the planted chains under their planted
+// schemes, each scheme mined from the counting-DP fixtures, the star, one
+// relation alone, the disjoint bags (every separator empty), the imported
+// store with a dangling row and the 2^18-row chain.
+std::vector<ProjectionStore> EveryStore() {
+  std::vector<ProjectionStore> stores;
+  for (const auto& [seed, noise] : std::vector<std::pair<uint64_t, double>>{
+           {1, 0.0}, {9, 0.0}, {23, 0.0}, {31, 0.1}}) {
+    const PlantedDataset d = MakePlanted(9, 3, seed, noise);
+    PliEntropyEngine engine(d.relation);
+    InfoCalc oracle(&engine);
+    stores.emplace_back(d.relation, PlantedScheme(d, oracle));
+  }
+  for (const auto& [relation, eps] :
+       std::vector<std::pair<Relation, double>>{
+           {MakePlanted(8, 3, 5).relation, 0.0},
+           {MakePlanted(10, 3, 7).relation, 0.0},
+           {MakePlanted(8, 3, 11, /*noise=*/0.02).relation, 0.1},
+           {MakePlanted(9, 2, 13, /*noise=*/0.1).relation, 0.2},
+           {NurseryDataset().SampleRows(0.05, 3), 0.3},
+           {MakePlanted(12, 4, 17, /*noise=*/0.02).relation, 0.1}}) {
+    MaimonConfig config;
+    config.epsilon = eps;
+    config.mvd_budget_seconds = 10.0;
+    config.schema_budget_seconds = 10.0;
+    config.schemas.max_schemas = 32;
+    config.mvd.max_full_mvds_per_separator = 3;
+    Maimon maimon(relation, config);
+    for (const MinedSchema& s : maimon.MineSchemas().schemas) {
+      stores.emplace_back(relation, s.schema);
+    }
+  }
+  stores.emplace_back(
+      Relation::FromRows({{0, 0, 0, 0}, {0, 1, 0, 1}, {0, 0, 0, 1}}, 4),
+      Schema({AttrSet(0b0011), AttrSet(0b0101), AttrSet(0b1001)}));
+  const PlantedDataset single = MakePlanted(6, 2, 47, /*noise=*/0.05);
+  stores.emplace_back(single.relation, Schema(single.relation.Universe()));
+  const PlantedDataset bags = MakePlanted(8, 2, 41);
+  stores.emplace_back(bags.relation, Schema(bags.schema.Bags()));
+  StoredProjection ab;
+  ab.attrs = AttrSet(0b011);
+  ab.columns = {0, 1};
+  ab.codes = {{0, 1}, {0, 7}};
+  ab.domains = {2, 8};
+  StoredProjection bc;
+  bc.attrs = AttrSet(0b110);
+  bc.columns = {1, 2};
+  bc.codes = {{0}, {2}};
+  bc.domains = {8, 3};
+  stores.emplace_back(std::vector<StoredProjection>{ab, bc},
+                      /*original_cells=*/0);
+  const uint32_t n = 1 << 18;
+  std::vector<uint32_t> ids(n);
+  for (uint32_t i = 0; i < n; ++i) ids[i] = i;
+  ab.codes = {ids, ids};
+  ab.domains = {n, n};
+  bc.codes = {ids, ids};
+  bc.domains = {n, n};
+  stores.emplace_back(std::vector<StoredProjection>{ab, bc},
+                      /*original_cells=*/0);
+  return stores;
+}
+
+TEST_CASE(DistinctEqualsTheSetProjectionOfTheJoinOnEveryStore) {
+  Rng rng(7);
+  size_t deduplicated = 0;  // outputs whose cut join repeated output rows
+  for (const ProjectionStore& store : EveryStore()) {
+    YannakakisOptions full;
+    full.materialize = true;
+    YannakakisExecutor reference(store);
+    const JoinResult join = reference.Execute(full);
+    CHECK(join.status.ok());
+    for (int trial = 0; trial < 4; ++trial) {
+      YannakakisOptions options;
+      options.distinct = true;
+      options.materialize = true;
+      for (int a : join.columns) {
+        if (rng.Uniform(2) == 0) options.output.Add(a);
+      }
+      if (options.output.Empty()) {
+        options.output.Add(join.columns[rng.Uniform(join.columns.size())]);
+      }
+      std::set<std::vector<uint32_t>> expect;
+      for (const std::vector<uint32_t>& row : join.tuples) {
+        std::vector<uint32_t> projected;
+        for (size_t i = 0; i < join.columns.size(); ++i) {
+          if (options.output.Contains(join.columns[i])) {
+            projected.push_back(row[i]);
+          }
+        }
+        expect.insert(std::move(projected));
+      }
+
+      YannakakisExecutor executed(store);
+      const JoinResult rows = executed.Execute(options);
+      CHECK(rows.status.ok());
+      CHECK_EQ(rows.columns, options.output.ToVector());
+      CHECK_EQ(rows.rows, static_cast<uint64_t>(expect.size()));
+      CHECK_EQ(rows.tuples.size(), expect.size());
+      CHECK(std::set<std::vector<uint32_t>>(rows.tuples.begin(),
+                                            rows.tuples.end()) == expect);
+      CHECK(rows.enumerated >= rows.rows);
+      CHECK(rows.enumerated <= join.rows);
+      if (rows.enumerated > rows.rows) ++deduplicated;
+      // The full reduction ran as it does without the cut.
+      CHECK_EQ(executed.semijoin_passes(), reference.semijoin_passes());
+      // The cut is in place, so the executor answers nothing more.
+      CHECK_EQ(executed.Execute(YannakakisOptions()).status.code(),
+               Status::Code::kInvalidArgument);
+
+      YannakakisExecutor counted(store);
+      const JoinResult count = counted.Count(options);
+      CHECK(count.status.ok());
+      CHECK_EQ(count.rows, static_cast<uint64_t>(expect.size()));
+      CHECK(count.tuples.empty());
+    }
+  }
+  CHECK(deduplicated > 0);
+}
+
+TEST_CASE(DistinctRejectsACodeOutsideItsDomain) {
+  // [AB][BC] where one A code is past A's declared domain: the cut must
+  // report the broken contract, never index past its bitmap.
+  StoredProjection ab;
+  ab.attrs = AttrSet(0b011);
+  ab.columns = {0, 1};
+  ab.codes = {{0, 9}, {0, 1}};
+  ab.domains = {2, 2};
+  StoredProjection bc;
+  bc.attrs = AttrSet(0b110);
+  bc.columns = {1, 2};
+  bc.codes = {{0, 1}, {0, 0}};
+  bc.domains = {2, 1};
+  const ProjectionStore store({ab, bc}, /*original_cells=*/0);
+  YannakakisOptions options;
+  options.distinct = true;
+  options.output = AttrSet(0b001);
+  YannakakisExecutor executed(store);
+  CHECK_EQ(executed.Execute(options).status.code(),
+           Status::Code::kInvalidArgument);
+  YannakakisExecutor counted(store);
+  CHECK_EQ(counted.Count(options).status.code(),
+           Status::Code::kInvalidArgument);
 }
 
 }  // namespace

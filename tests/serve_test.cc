@@ -23,7 +23,13 @@
 //     oracles above, so the executor's sum-product Count and its no-dedup
 //     enumeration are both exercised;
 //   * a count past 2^64 - 1 is kResourceExhausted, never a wrapped number;
-//   * the serve.query span carries rows_in, and Count opens yk.count.
+//   * the serve.query span carries rows_in, and Count opens yk.count;
+//   * a dedup plan is cut before its join: a middle node without output
+//     attributes is cut to its separator keys, a leaf kept only for its
+//     selection leaves, a sparse-code store takes the hashed cut, and the
+//     join enumerates fewer rows than the uncut one (on Nursery's
+//     [C][ABDEFGHI], exactly the answer's rows);
+//   * under tiny budgets the random sweep expires or answers exactly.
 
 #include <unistd.h>
 
@@ -919,6 +925,210 @@ TEST_CASE(QuerySpansCarryRowsInAndTheCountPass) {
   });
   CHECK(query_span);
   CHECK(count_span);
+}
+
+// An attribute of projection `v` that no other projection of `store`
+// holds; -1 when there is none.
+int PrivateAttr(const ProjectionStore& store, size_t v) {
+  AttrSet others;
+  for (size_t u = 0; u < store.NumProjections(); ++u) {
+    if (u != v) others = others.Union(store.projections()[u].attrs);
+  }
+  return store.projections()[v].attrs.Minus(others).First();
+}
+
+// The args of every `name` span `sink` recorded, in emission order.
+std::vector<std::string> SpanArgs(const obs::Sink& sink, const char* name) {
+  std::vector<std::string> args;
+  sink.ForEachEvent([&](int, const std::string&, const obs::TraceEvent& e) {
+    if (e.name == std::string(name)) args.push_back(e.args_json);
+  });
+  return args;
+}
+
+// A planted 3-node chain served with a sink; `leaf_attr` holds an
+// attribute private to each of the chain's two leaves.
+struct ServedChain {
+  Fixture fixture = MakeChainFixture(10, 3, 7);
+  obs::Sink sink;
+  std::unique_ptr<serve::QueryService> service;
+  std::vector<int> leaf_attr;
+
+  ServedChain() {
+    serve::ServiceOptions options;
+    options.sink = &sink;
+    service = std::make_unique<serve::QueryService>(
+        ProjectionStore(fixture.data.relation, fixture.schema), options);
+    const ProjectionStore& store = service->snapshot()->store();
+    const JoinTree& tree = service->snapshot()->planner().tree();
+    CHECK_EQ(tree.NumNodes(), size_t{3});
+    for (size_t v = 0; v < tree.NumNodes(); ++v) {
+      if (tree.children[v].size() + (tree.parent[v] >= 0 ? 1 : 0) == 1) {
+        leaf_attr.push_back(PrivateAttr(store, v));
+        CHECK(leaf_attr.back() >= 0);
+      }
+    }
+    CHECK_EQ(leaf_attr.size(), size_t{2});
+  }
+};
+
+TEST_CASE(ACoverWhoseMiddleNodeHoldsNoOutputIsCutBeforeTheJoin) {
+  // One attribute private to each leaf of a 3-node chain: the cover is the
+  // whole chain, and its middle node holds no output attribute. Every node
+  // stays and is cut to its distinct (output, separator) keys, so the join
+  // visits fewer rows than the uncut one, and the answer stays exact.
+  const ServedChain chain;
+  serve::Query q;
+  q.attrs = AttrSet::Single(chain.leaf_attr[0]).Plus(chain.leaf_attr[1]);
+  CheckAnswer(*chain.service, q, DirectAnswer(chain.fixture.data.relation, q));
+  const serve::QueryResult res = chain.service->Execute(q);
+  CHECK_EQ(res.plan_nodes, size_t{3});
+  CHECK(SpanArgs(chain.sink, "yk.cut").back().find("\"nodes_dropped\":0") !=
+        std::string::npos);
+  CHECK(SpanArgs(chain.sink, "serve.query")
+            .back()
+            .find("\"enumerated\":" + std::to_string(res.rows_enumerated)) !=
+        std::string::npos);
+
+  // The uncut join: the same cover with every covered attribute kept.
+  serve::Query uncut;
+  uncut.attrs = chain.service->snapshot()->planner().Plan(q).covered;
+  uncut.count_only = true;
+  const serve::QueryResult whole = chain.service->Execute(uncut);
+  CHECK(whole.status.ok());
+  CHECK_EQ(whole.plan_nodes, size_t{3});
+  CHECK(res.rows_enumerated >= res.rows);
+  CHECK(res.rows_enumerated < whole.rows);
+  std::printf("  enumerated %llu rows for %llu answers; uncut join %llu\n",
+              static_cast<unsigned long long>(res.rows_enumerated),
+              static_cast<unsigned long long>(res.rows),
+              static_cast<unsigned long long>(whole.rows));
+}
+
+TEST_CASE(ALeafKeptOnlyForItsSelectionLeavesTheEnumeration) {
+  // Output private to one leaf, selection on the other: the cover spans
+  // the chain for the pushdown and the reduction, then the selecting leaf
+  // and the middle node leave, and only the output's leaf is enumerated.
+  const ServedChain chain;
+  for (uint32_t value = 0; value < 4; ++value) {
+    serve::Query q;
+    q.attrs = AttrSet::Single(chain.leaf_attr[0]);
+    q.selections.push_back(serve::Selection::Eq(chain.leaf_attr[1], value));
+    CheckAnswer(*chain.service, q,
+                DirectAnswer(chain.fixture.data.relation, q));
+    const serve::QueryResult res = chain.service->Execute(q);
+    CHECK_EQ(res.plan_nodes, size_t{3});
+    CHECK(res.semijoin_passes > 0);
+    CHECK_EQ(res.rows_enumerated, res.rows);
+    CHECK(SpanArgs(chain.sink, "yk.cut").back().find("\"nodes_dropped\":2") !=
+          std::string::npos);
+  }
+}
+
+TEST_CASE(ASparseCodeStoreTakesTheHashedCut) {
+  // Every code spread up to 2^32 - 2, so each domain is near 2^32 - 1: a
+  // key of two output codes spans about 2^64 values, far more bits than a
+  // bitmap may take, and the cut goes through a TupleIdTable.
+  const Fixture f = MakeChainFixture(9, 3, 9);
+  const auto spread = [](uint32_t code) { return code * 0x24924924u + 2u; };
+  std::vector<std::vector<uint32_t>> columns;
+  std::vector<uint32_t> domains;
+  for (int c = 0; c < f.data.relation.NumCols(); ++c) {
+    columns.push_back(f.data.relation.Column(c));
+    for (uint32_t& code : columns.back()) code = spread(code);
+    domains.push_back(spread(f.data.relation.DomainSize(c) - 1) + 1);
+  }
+  CHECK(*std::max_element(domains.begin(), domains.end()) == 0xFFFFFFFFu);
+  const Relation sparse(std::move(columns), std::move(domains));
+  obs::Sink sink;
+  serve::ServiceOptions options;
+  options.sink = &sink;
+  const serve::QueryService service(ProjectionStore(sparse, f.schema),
+                                    options);
+  for (const serve::Query& q : EnumerateQueries(sparse.Universe())) {
+    CheckAnswer(service, q, DirectAnswer(sparse, q));
+  }
+  size_t hashed = 0;
+  for (const std::string& args : SpanArgs(sink, "yk.cut")) {
+    if (args.find("\"hashed\":0") == std::string::npos) ++hashed;
+  }
+  CHECK(hashed > 0);
+}
+
+TEST_CASE(NurseryDedupQueriesEnumerateOnlyTheirAnswerRows) {
+  // [C][ABDEFGHI] (the scheme Nursery mines at eps 0.3) joins across an
+  // empty separator, so every cut join is the distinct answer itself.
+  const Relation nursery = NurseryDataset();
+  const AttrSet c = AttrSet::Single(2);
+  const Schema scheme({c, nursery.Universe().Minus(c)});
+  CHECK_EQ(scheme.ToString(), std::string("[C][ABDEFGHI]"));
+  const ProjectionStore store(nursery, scheme);
+  const serve::QueryService service(ProjectionStore(nursery, scheme));
+  std::vector<serve::Query> queries = EnumerateQueries(nursery.Universe());
+  for (const serve::Query& q : RandomQueries(store, 77, 64)) {
+    queries.push_back(q);
+  }
+  size_t enumerated = 0;
+  for (serve::Query q : queries) {
+    q.count_only = false;
+    const serve::QueryPlan plan = service.snapshot()->planner().Plan(q);
+    if (!plan.status.ok() || !plan.needs_dedup) continue;
+    const serve::QueryResult res = service.Execute(q);
+    CHECK(res.status.ok());
+    if (plan.point_lookup || plan.index_scan) {
+      CHECK_EQ(res.rows_enumerated, uint64_t{0});
+    } else {
+      CHECK_EQ(res.rows_enumerated, res.rows);
+      ++enumerated;
+    }
+  }
+  CHECK(enumerated > 0);
+}
+
+TEST_CASE(BudgetedRandomQueriesAnswerExactlyOrExpire) {
+  // Tiny budgets over the random sweep: each query expires as
+  // kDeadlineExceeded or returns the exact answer, never a wrong OK. The
+  // Nursery store's 12,960-row node lets a budget expire inside the
+  // pushdown, the cut and the enumeration, not only between semijoins.
+  std::vector<std::pair<Relation, Schema>> inputs;
+  for (const Fixture& f :
+       {MakeChainFixture(9, 3, 1), MakeChainFixture(12, 4, 3)}) {
+    inputs.emplace_back(f.data.relation, f.schema);
+  }
+  const Relation nursery = NurseryDataset();
+  const AttrSet c = AttrSet::Single(2);
+  inputs.emplace_back(nursery, Schema({c, nursery.Universe().Minus(c)}));
+  uint64_t seed = 5000;
+  size_t expired = 0;
+  size_t answered = 0;
+  for (const auto& [relation, schema] : inputs) {
+    const ProjectionStore store(relation, schema);
+    const serve::QueryService service(ProjectionStore(relation, schema));
+    for (serve::Query q : RandomQueries(store, ++seed, 48)) {
+      const std::set<std::vector<uint32_t>> expect = FullPlanAnswer(store, q);
+      for (const double budget : {1e-9, 1e-6, 1e-4}) {
+        for (const bool count_only : {false, true}) {
+          q.budget_seconds = budget;
+          q.count_only = count_only;
+          const serve::QueryResult res = service.Execute(q);
+          if (res.status.IsDeadlineExceeded()) {
+            ++expired;
+            continue;
+          }
+          CHECK(res.status.ok());
+          CHECK_EQ(res.rows, static_cast<uint64_t>(expect.size()));
+          if (!count_only) {
+            CHECK(std::set<std::vector<uint32_t>>(res.tuples.begin(),
+                                                  res.tuples.end()) == expect);
+          }
+          ++answered;
+        }
+      }
+    }
+  }
+  std::printf("  %zu expired, %zu answered\n", expired, answered);
+  CHECK(expired > 0);
+  CHECK(answered > 0);
 }
 
 }  // namespace
